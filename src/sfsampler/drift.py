@@ -124,10 +124,7 @@ def drift_exact(target, x, t):
     t = _check_t(t)
     pts, single = _coerce(x, target.dim)
     _check_finite(pts)
-    logits = target.mixture.component_logits(pts, t)
-    z = logits - logits.max(axis=1, keepdims=True)
-    w = np.exp(z)
-    b = (w @ target.mixture.means) / w.sum(axis=1, keepdims=True)
+    b = target.mixture.grad_log_ratio(pts, t)
     return np.asarray(b[0]) if single else b
 
 
@@ -146,7 +143,9 @@ def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset):
     """
     n, m, p = z.shape
     root = math.sqrt(1.0 - t)
-    probes = (points[:, None, :] + root * z).reshape(n * m, p)
+    probes = root * z
+    probes += points[:, None, :]
+    probes = probes.reshape(n * m, p)
     lf = target.log_f(probes).reshape(n, m)
     if np.isnan(lf).any():
         raise ValueError("target log density returned NaN at a drift probe")
@@ -163,16 +162,15 @@ def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset):
             particle_index=particle_offset + i,
         )
     u = np.exp(lf - mx[:, None])
-    if mode == "mc-grad":
-        vec = target.grad_log_f(probes)
-        if np.isneginf(lf).any():
-            vec = np.where(np.isneginf(lf).reshape(n * m, 1), 0.0, vec)
-        vec = vec.reshape(n, m, p)
-    else:
-        vec = z
+    vec = target.grad_log_f(probes).reshape(n, m, p) if mode == "mc-grad" else z
     # One reduction for numerator and denominator: the ones channel makes
-    # both sums share a summation tree, so constant ratios are exact.
-    ext = np.concatenate([vec, np.ones((n, m, 1))], axis=2)
+    # both sums share a summation tree, so constant ratios are exact. The
+    # buffer is taken after grad log f returns, so its temporaries are gone.
+    ext = np.empty((n, m, p + 1))
+    ext[:, :, :p] = vec
+    ext[:, :, p] = 1.0
+    if mode == "mc-grad":
+        ext[np.isneginf(lf), :p] = 0.0
     acc = np.einsum("nm,nmq->nq", u, ext)
     den = acc[:, p]
     b = acc[:, :p] / den[:, None]

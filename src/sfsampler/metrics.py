@@ -9,7 +9,6 @@ solves the matching problem outright and is guarded to small batches.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -298,22 +297,6 @@ def w2_noise_floor(target, n, seed, pairs=3, metric="w2_1d", n_projections=64):
         else:
             raise ValueError(f"unknown metric {metric!r}")
     return float(np.mean(vals))
-
-
-@dataclass
-class MetricReport:
-    """Named bundle of metric values that serializes to JSON."""
-
-    name: str
-    entries: dict
-    notes: list = field(default_factory=list)
-
-    def to_json(self, path):
-        payload = {"entries": self.entries, "name": self.name, "notes": self.notes}
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
 
 
 def rate_table_csv(path, header, rows):

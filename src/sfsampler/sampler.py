@@ -277,7 +277,7 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
                 trajectories[:, k + 1] = y
     finally:
         if pool is not None:
-            pool.shutdown(wait=False)
+            pool.shutdown(wait=True, cancel_futures=True)
 
     return SampleBatch(
         samples=y,

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import rng as _rng
 from .batches import SampleBatch, config_digest
@@ -95,6 +94,11 @@ class GaussianMixture:
     f(x) = sum_i w_i exp(m_i . x - |m_i|^2 / 2), which keeps the heat
     semigroup and therefore the drift analytic: smoothing by Q_s only
     rescales the per-component correction term.
+
+    The softmax over components works on (k, n) logits, component-major:
+    k is small and a drift batch holds up to millions of points, so
+    reducing along k of an (n, k) array is a short strided loop per point,
+    while across the k rows of a (k, n) array it is whole-row vector work.
     """
 
     def __init__(self, weights, means):
@@ -125,19 +129,30 @@ class GaussianMixture:
     def n_components(self):
         return self.means.shape[0]
 
-    def component_logits(self, x, t=1.0):
-        """log w_i + m_i . x - t |m_i|^2 / 2 for a batch x of shape (n, p)."""
-        return self._log_w[None, :] + x @ self.means.T - t * self._half_sq[None, :]
+    def _softmax(self, x, t):
+        """Max-shifted exps of the (k, n) logits log w_i + m_i . x_j - t |m_i|^2 / 2.
+
+        Returns (u, mx), with mx[j] the largest logit of point j.
+        """
+        u = self.means @ x.T
+        u += (self._log_w - t * self._half_sq)[:, None]
+        mx = u.max(axis=0)
+        u -= mx
+        np.exp(u, out=u)
+        return u, mx
 
     def log_ratio(self, x):
-        return logsumexp(self.component_logits(x, 1.0), axis=1)
+        u, mx = self._softmax(x, 1.0)
+        return np.log(u.sum(axis=0)) + mx
 
-    def grad_log_ratio(self, x):
-        z = self.component_logits(x, 1.0)
-        z = z - z.max(axis=1, keepdims=True)
-        w = np.exp(z)
-        w /= w.sum(axis=1, keepdims=True)
-        return w @ self.means
+    def grad_log_ratio(self, x, t=1.0):
+        """Gradient of log Q_{1-t} f: the softmax-weighted mean of the means.
+
+        At t = 1 this is grad log f; at t < 1 the closed-form drift.
+        """
+        u, _ = self._softmax(x, t)
+        u /= u.sum(axis=0)
+        return u.T @ self.means
 
     def mean(self):
         return self.weights @ self.means

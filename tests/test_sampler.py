@@ -3,6 +3,8 @@ trajectories, failure reporting, and the Langevin baseline."""
 
 import math
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from sfsampler import (
     EpsSchedule,
     NonFiniteStateError,
     SamplerConfig,
+    TargetSpec,
     UnsupportedTargetError,
     from_potential,
     gaussian,
@@ -143,6 +146,41 @@ def test_nonfinite_drift_is_reported_with_context():
         sfs_run(cfg, bad)
     assert err.value.step_index == 0
     assert err.value.particle_index is not None
+
+
+def test_failed_run_leaves_no_worker_running():
+    # The first call fails once the second is under way; the second is slow.
+    lock = threading.Lock()
+    second_started = threading.Event()
+    calls = []
+    finished = []
+
+    def log_f(pts):
+        with lock:
+            calls.append(None)
+            first = len(calls) == 1
+        if first:
+            second_started.wait(timeout=5.0)
+            raise RuntimeError("first probe batch fails")
+        second_started.set()
+        time.sleep(0.3)
+        finished.append(time.perf_counter())
+        return np.zeros(len(pts))
+
+    target = TargetSpec(name="failing", dim=1, log_f=log_f)
+    config = SamplerConfig(steps=1, particles=8, seed=5, drift="mc-stein", mc_size=4)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="first probe batch"):
+        sfs_run(config, target, workers=2)
+    raised = time.perf_counter()
+    assert len(calls) == 2
+    leftover = [
+        th
+        for th in threading.enumerate()
+        if th not in before and th.name.startswith("ThreadPoolExecutor")
+    ]
+    assert not leftover
+    assert all(end <= raised for end in finished)
 
 
 def test_ula_matches_gaussian_moments():

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp, softmax
 
 from oracles import fd_grad
 from sfsampler import (
@@ -22,6 +25,7 @@ from sfsampler import (
     sample_ground_truth,
     standard_gaussian,
 )
+from sfsampler.drift import drift_exact
 from sfsampler.targets import TargetRegularity, describe
 
 MIX = gaussian_mixture_target([0.5, 0.5], [[2.0], [-2.0]])
@@ -74,6 +78,47 @@ def test_gradients_match_finite_differences(target, lo, hi):
     fd = fd_grad(target.log_f, x)
     got = target.grad_log_f(x)
     assert np.allclose(got, fd, rtol=1e-6, atol=1e-7)
+
+
+@st.composite
+def mixtures_and_points(draw):
+    """A mixture (or the standard Gaussian), a batch of points and a time.
+
+    Means reach |30| and points |50|, so logits reach thousands and an
+    exp without a max shift would overflow.
+    """
+    p = draw(st.integers(1, 4))
+    coord = st.floats(-50.0, 50.0, allow_nan=False)
+    x = np.array(draw(st.lists(st.lists(coord, min_size=p, max_size=p), min_size=1, max_size=8)))
+    t = draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        return standard_gaussian(p), x, t
+    k = draw(st.integers(1, 6))
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    mean = st.floats(-30.0, 30.0, allow_nan=False)
+    means = draw(st.lists(st.lists(mean, min_size=p, max_size=p), min_size=k, max_size=k))
+    return gaussian_mixture_target(raw / raw.sum(), means), x, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixtures_and_points())
+def test_mixture_softmax_matches_point_major_reference(case):
+    target, x, t = case
+    mix = target.mixture
+    means = mix.means
+    logits = np.log(mix.weights) + x @ means.T - 0.5 * np.sum(means * means, axis=1)
+    smoothed = logits + 0.5 * (1.0 - t) * np.sum(means * means, axis=1)
+    scale = max(1.0, np.abs(means).max())
+
+    def close(got, want, size):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * size)
+
+    lr = logsumexp(logits, axis=1)
+    close(target.log_f(x), lr, max(1.0, np.abs(lr).max()))
+    close(target.grad_log_f(x), softmax(logits, axis=1) @ means, scale)
+    close(drift_exact(target, x, t), softmax(smoothed, axis=1) @ means, scale)
+    assert target.grad_log_f(x).flags.c_contiguous
 
 
 def test_mixture_weights_validation():
