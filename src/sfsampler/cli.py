@@ -28,16 +28,8 @@ from .config import (
     ula_from_config,
     write_resolved_ini,
 )
-from .drift import (
-    DriftEvaluator,
-    ProbeGrid,
-    default_drift_mode,
-    drift_exact,
-    drift_mc_grad,
-    drift_mc_stein,
-    estimate_regularity,
-    probe_points,
-)
+from .drift import DriftEvaluator, ProbeGrid, drift_exact, estimate_regularity, probe_points
+from .drift import drift_mc_stein  # noqa: F401 - bench/workloads.py patches cli.drift_mc_stein
 from .errors import (
     ConfigError,
     DriftSingularityError,
@@ -143,6 +135,19 @@ def _cmd_sample(args):
     return EXIT_OK
 
 
+def _mc_evaluator(target, config):
+    """Monte-Carlo evaluator for the check commands.
+
+    "auto" and "exact" fall back to the target's Monte-Carlo mode (the
+    gradient form when there is a gradient), and m defaults to 64.
+    """
+    mode = config.drift
+    if mode in ("auto", "exact"):
+        mode = "mc-grad" if target.grad_log_f is not None else "mc-stein"
+    m = config.mc_size if config.mc_size is not None else 64
+    return DriftEvaluator(target=target, mode=mode, m=m, seed=config.seed)
+
+
 def _cmd_drift_check(args):
     sections = read_ini(args.config)
     target = target_from_config(sections)
@@ -152,21 +157,14 @@ def _cmd_drift_check(args):
             f"drift-check needs the closed form, so a mixture target; "
             f"{target.name!r} has none"
         )
-    mode = config.drift
-    if mode in ("auto", "exact"):
-        mode = "mc-grad"
-    m = config.mc_size if config.mc_size is not None else 64
-    ev = DriftEvaluator(target=target, mode=mode, m=m, seed=config.seed)
+    ev = _mc_evaluator(target, config)
     grid = ProbeGrid()
     pts = probe_points(grid, target.dim, seed=config.seed)
-    estimate = drift_mc_grad if mode == "mc-grad" else drift_mc_stein
     cells = []
     worst = 0.0
     for t in grid.t_values:
         exact = drift_exact(target, pts, t)
-        approx = np.vstack(
-            [estimate(ev, pts[i], t, step_index=0, particle_index=i) for i in range(len(pts))]
-        )
+        approx = ev.batch(pts, t, 0)
         err = np.linalg.norm(approx - exact, axis=1)
         rms = float(np.sqrt(np.mean(err**2)))
         worst = max(worst, float(err.max()))
@@ -175,8 +173,8 @@ def _cmd_drift_check(args):
         "command": "drift-check",
         "cells": cells,
         "max_error": worst,
-        "mc_size": int(m),
-        "mode": mode,
+        "mc_size": ev.m,
+        "mode": ev.mode,
         "n_points": int(len(pts)),
         "seed": config.seed,
         "target": target.name,
@@ -235,13 +233,7 @@ def _cmd_regularity(args):
     sections = read_ini(args.config)
     target = target_from_config(sections)
     config = sampler_from_config(sections, _overrides(args))
-    evaluator = None
-    if target.mixture is None:
-        mode = config.drift
-        if mode in ("auto", "exact"):
-            mode = default_drift_mode(target)
-        m = config.mc_size if config.mc_size is not None else 64
-        evaluator = DriftEvaluator(target=target, mode=mode, m=m, seed=config.seed)
+    evaluator = None if target.mixture is not None else _mc_evaluator(target, config)
     estimate = estimate_regularity(target, seed=config.seed, evaluator=evaluator)
     report = {"command": "regularity", "estimate": estimate.describe(), "target": target.name}
     if target.regularity is not None:

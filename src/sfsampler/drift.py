@@ -43,14 +43,28 @@ def default_drift_mode(target):
     return "mc-grad" if target.grad_log_f is not None else "mc-stein"
 
 
+_CHUNK_VALUES = 1 << 22  # Z values generated per chunk in MC drift
+
+
+def _check_m(m):
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(
+            f"the Monte-Carlo batch size m (mc_size) must be a positive integer, got {m!r}"
+        )
+    return int(m)
+
+
 @dataclass(frozen=True)
 class DriftEvaluator:
     """Bundle of target, estimator choice, batch size, and root seed.
 
-    The seed anchors the drift-role streams: the batch used for
-    (step_index, particle_index) is row particle_index of the block drawn
-    from the (seed, drift, step_index) substream, which is exactly the
-    batch a sampler run with the same seed would use there.
+    The one place a drift mode is resolved and checked: "auto" becomes
+    ``default_drift_mode(target)``, the exact mode needs a mixture and
+    keeps ``m = None``, and the Monte-Carlo modes need a positive integer
+    m (and mc-grad a gradient). The seed anchors the drift-role streams:
+    the batch used for (step_index, particle_index) is row particle_index
+    of the block drawn from the (seed, drift, step_index) substream, which
+    is exactly the batch a sampler run with the same seed would use there.
     """
 
     target: object
@@ -59,21 +73,64 @@ class DriftEvaluator:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in DRIFT_MODES:
-            raise ValueError(f"mode must be one of {DRIFT_MODES}, got {self.mode!r}")
-        if self.mode == "exact":
+        mode = default_drift_mode(self.target) if self.mode == "auto" else self.mode
+        if mode not in DRIFT_MODES:
+            raise ValueError(f"mode must be auto or one of {DRIFT_MODES}, got {mode!r}")
+        if mode == "exact":
             if self.target.mixture is None:
                 raise UnsupportedTargetError(
                     f"closed-form drift needs a mixture target, {self.target.name!r} has none"
                 )
+            m = None
         else:
-            if self.m is None or int(self.m) < 1:
-                raise ValueError(f"Monte-Carlo modes need m >= 1, got {self.m!r}")
-            if self.mode == "mc-grad" and self.target.grad_log_f is None:
+            m = _check_m(self.m)
+            if mode == "mc-grad" and self.target.grad_log_f is None:
                 raise UnsupportedTargetError(
                     f"gradient-form estimator needs grad log f, {self.target.name!r} has none"
                 )
         _rng.check_seed(self.seed)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "m", m)
+
+    def batch(self, points, t, step_index, pool=None, workers=1):
+        """Drift at every row of ``points`` (n, p) at time t, as an (n, p) array.
+
+        The exact mode is the closed form and ignores the rest. Row i of a
+        Monte-Carlo estimate uses the probes of particle i at step
+        ``step_index``, the same bytes a direct call with that particle
+        index gives. Probes are drawn serially in chunks; a pool with
+        ``workers`` threads splits each chunk's rows, which never changes
+        the result.
+        """
+        if self.mode == "exact":
+            return drift_exact(self.target, points, t)
+        t = _check_t(t, allow_one=self.mode != "mc-stein")
+        n, p = points.shape
+        gen = _rng.substream(self.seed, _rng.ROLE_DRIFT, step_index)
+        out = np.empty((n, p))
+        chunk = max(1, _CHUNK_VALUES // (self.m * p))
+        for start in range(0, n, chunk):
+            stop = min(n, start + chunk)
+            rows = stop - start
+            z = gen.standard_normal((rows, self.m, p))
+            if pool is None or rows < 2 * workers:
+                out[start:stop] = _mc_drift_core(
+                    self.target, points[start:stop], t, z, self.mode,
+                    step_index=step_index, particle_offset=start,
+                )
+                continue
+            bounds = np.linspace(0, rows, workers + 1).astype(int)
+            futures = [
+                (lo, hi, pool.submit(
+                    _mc_drift_core, self.target, points[start + lo:start + hi], t, z[lo:hi],
+                    self.mode, step_index=step_index, particle_offset=start + lo,
+                ))
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+                if lo < hi
+            ]
+            for lo, hi, fut in futures:
+                out[start + lo:start + hi] = fut.result()
+        return out
 
 
 def _check_t(t, *, allow_one=True):
@@ -97,9 +154,7 @@ def heat_semigroup_mc(target, x, t, m, seed):
         seed: root seed; draws come from the semigroup role stream.
     """
     t = _check_t(t)
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
+    m = _check_m(m)
     pts, single = _coerce(x, target.dim)
     if not single:
         raise ValueError("heat_semigroup_mc evaluates one point at a time")
@@ -180,12 +235,9 @@ def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset):
 
 
 def _drift_mc(ev, x, t, step_index, particle_index, mode):
-    if ev.m is None or int(ev.m) < 1:
-        raise ValueError("Monte-Carlo drift needs the evaluator's m set")
-    if mode == "mc-grad" and ev.target.grad_log_f is None:
-        raise UnsupportedTargetError(
-            f"gradient-form estimator needs grad log f, {ev.target.name!r} has none"
-        )
+    if ev.mode != mode:
+        raise ValueError(f"a {mode} drift call needs a {mode} evaluator, got {ev.mode!r}")
+    t = _check_t(t, allow_one=mode != "mc-stein")
     pts, single = _coerce(x, ev.target.dim)
     if not single:
         raise ValueError("direct drift calls evaluate one point at a time")
@@ -194,9 +246,8 @@ def _drift_mc(ev, x, t, step_index, particle_index, mode):
     particle_index = int(particle_index)
     if step_index < 0 or particle_index < 0:
         raise ValueError("step_index and particle_index must be non-negative")
-    m = int(ev.m)
     z = _rng.normal_row(
-        ev.seed, _rng.ROLE_DRIFT, step_index, particle_index, (m, ev.target.dim)
+        ev.seed, _rng.ROLE_DRIFT, step_index, particle_index, (ev.m, ev.target.dim)
     )
     b = _mc_drift_core(
         ev.target,
@@ -217,7 +268,6 @@ def drift_mc_grad(ev, x, t, step_index=0, particle_index=0):
     block, so a direct call reproduces exactly what a sampler run with the
     same seed uses for that particle at that step. Valid for t in [0, 1].
     """
-    t = _check_t(t)
     return _drift_mc(ev, x, t, step_index, particle_index, "mc-grad")
 
 
@@ -227,7 +277,6 @@ def drift_mc_stein(ev, x, t, step_index=0, particle_index=0):
     Uses the same stream derivation and the same shared batch layout as
     the gradient form; only the integrand differs.
     """
-    t = _check_t(t, allow_one=False)
     return _drift_mc(ev, x, t, step_index, particle_index, "mc-stein")
 
 
@@ -311,31 +360,18 @@ def estimate_regularity(target, grid=None, seed=0, evaluator=None):
     Returns:
         RegularityEstimate with c0_hat, c1_hat, b_sup_hat.
     """
+    if target.mixture is not None:
+        evaluator = DriftEvaluator(target=target, mode="exact")
+    elif evaluator is None:
+        raise UnsupportedTargetError(
+            "non-mixture targets need a DriftEvaluator to probe the drift"
+        )
     if grid is None:
         grid = ProbeGrid()
     pts = probe_points(grid, target.dim, seed)
     ts = [float(t) for t in grid.t_values]
     n = pts.shape[0]
-
-    drifts = []
-    if target.mixture is not None:
-        for t in ts:
-            drifts.append(drift_exact(target, pts, t))
-    else:
-        if evaluator is None:
-            raise UnsupportedTargetError(
-                "non-mixture targets need a DriftEvaluator to probe the drift"
-            )
-        mode = evaluator.mode
-        if mode == "exact" or (mode == "mc-grad" and target.grad_log_f is None):
-            mode = default_drift_mode(target)
-        for k, t in enumerate(ts):
-            z = _rng.normal_rows(
-                evaluator.seed, _rng.ROLE_DRIFT, k, n, (int(evaluator.m), target.dim)
-            )
-            drifts.append(
-                _mc_drift_core(target, pts, t, z, mode, step_index=k, particle_offset=0)
-            )
+    drifts = [evaluator.batch(pts, t, k) for k, t in enumerate(ts)]
 
     all_b = np.concatenate(drifts, axis=0)
     all_x = np.tile(pts, (len(ts), 1))

@@ -30,7 +30,8 @@ from .metrics import (
     sliced_w2,
     wasserstein2_1d,
 )
-from .sampler import EpsSchedule, SamplerConfig, _resolve_mode, sfs_run, ula_run
+from .drift import DriftEvaluator
+from .sampler import EpsSchedule, SamplerConfig, sfs_run, ula_run
 from .targets import build_target, sample_ground_truth
 
 SWEEP_AXES = ("steps", "particles", "mc_size", "eps")
@@ -70,6 +71,8 @@ class ExperimentPlan:
             raise ValueError(f"need at least 3 replications, got {self.replications}")
         if self.metric not in PLAN_METRICS:
             raise ValueError(f"metric must be one of {PLAN_METRICS}, got {self.metric!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
     def describe(self):
         return {
@@ -219,13 +222,13 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, ula_post_steps=
     Returns:
         Report dict with per-sampler W2 and mode-mass balance.
     """
-    mode = _resolve_mode(config, target)
-    if mode == "exact":
+    ev = DriftEvaluator(target=target, mode=config.drift, m=config.mc_size, seed=config.seed)
+    if ev.mode == "exact":
         raise ValueError(
             "budget matching needs a Monte-Carlo drift mode; the exact "
             "evaluator has no per-step evaluation count"
         )
-    total = config.steps * int(config.mc_size)
+    total = config.steps * ev.m
     ula_burn_in = int(ula_burn_in)
     if ula_post_steps is None:
         ula_post_steps = total - ula_burn_in

@@ -25,12 +25,12 @@ import numpy as np
 
 from . import rng as _rng
 from .batches import SampleBatch, config_digest
-from .drift import DRIFT_MODES, _mc_drift_core, default_drift_mode, drift_exact
+from .drift import _CHUNK_VALUES  # noqa: F401 - bench/replay.py chunks its replay by it
+from .drift import DRIFT_MODES, DriftEvaluator
 from .errors import NonFiniteStateError, UnsupportedTargetError
 from .targets import describe, regularize
 
 DEFAULT_TRAJECTORY_BUDGET = 1 << 27  # float64 values, about 1 GiB
-_CHUNK_VALUES = 1 << 22  # Z values generated per chunk in MC drift
 
 
 @dataclass(frozen=True)
@@ -135,70 +135,9 @@ class SamplerConfig:
         }
 
 
-def _resolve_mode(config, target):
-    mode = config.drift
-    if mode == "auto":
-        mode = default_drift_mode(target)
-    if mode == "exact":
-        if target.mixture is None:
-            raise UnsupportedTargetError(
-                f"exact drift needs a mixture target, {target.name!r} has none"
-            )
-    else:
-        if config.mc_size is None:
-            raise ValueError(f"drift mode {mode!r} needs mc_size")
-        if mode == "mc-grad" and target.grad_log_f is None:
-            raise UnsupportedTargetError(
-                f"gradient-form drift needs grad log f, {target.name!r} has none"
-            )
-    return mode
-
-
 def _first_bad_particle(y):
     ok = np.isfinite(y).all(axis=1)
     return int(np.argmin(ok))
-
-
-def _mc_drift_step(target, y, t, mode, m, seed, k, pool, workers):
-    """Drift estimates for all particles at one step, chunked and threaded."""
-    n, p = y.shape
-    gen = _rng.substream(seed, _rng.ROLE_DRIFT, k)
-    out = np.empty((n, p))
-    chunk = max(1, _CHUNK_VALUES // max(1, m * p))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        z = gen.standard_normal((stop - start, m, p))
-        rows = stop - start
-        if pool is None or rows < 2 * workers:
-            out[start:stop] = _mc_drift_core(
-                target, y[start:stop], t, z, mode, step_index=k, particle_offset=start
-            )
-            continue
-        bounds = np.linspace(0, rows, workers + 1).astype(int)
-        futures = []
-        for w in range(workers):
-            lo, hi = bounds[w], bounds[w + 1]
-            if lo == hi:
-                continue
-            futures.append(
-                (
-                    lo,
-                    hi,
-                    pool.submit(
-                        _mc_drift_core,
-                        target,
-                        y[start + lo : start + hi],
-                        t,
-                        z[lo:hi],
-                        mode,
-                        step_index=k,
-                        particle_offset=start + lo,
-                    ),
-                )
-            )
-        for lo, hi, fut in futures:
-            out[start + lo : start + hi] = fut.result()
-    return out
 
 
 def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_BUDGET):
@@ -208,8 +147,9 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
         config: SamplerConfig; the eps schedule is bound here, and a
             positive eps swaps the run target for its regularized form.
         target: TargetSpec to sample from.
-        workers: drift-evaluation threads. Any value yields byte-identical
-            results; more threads only speed up Monte-Carlo drift.
+        workers: drift-evaluation threads, at least 1. Any value yields
+            byte-identical results; more threads only speed up Monte-Carlo
+            drift.
         trajectory_budget: cap on recorded path values (float64 count).
 
     Returns:
@@ -221,15 +161,18 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
             f = 0 (propagates with particle and step context).
         NonFiniteStateError: a particle state left the finite range.
     """
-    workers = max(1, int(workers))
-    mode = _resolve_mode(config, target)
-    eps = config.eps.bind(config.mc_size if mode != "exact" else None)
-    run_target = regularize(target, eps) if eps > 0.0 else target
+    workers = int(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    ev = DriftEvaluator(target=target, mode=config.drift, m=config.mc_size, seed=config.seed)
+    eps = config.eps.bind(ev.m)
+    if eps > 0.0:
+        ev = dataclasses.replace(ev, target=regularize(target, eps))
 
     n, p, k_steps = config.particles, target.dim, config.steps
     resolved = {
         "algorithm": "sfs",
-        "drift_resolved": mode,
+        "drift_resolved": ev.mode,
         "eps_resolved": eps,
         "sampler": config.describe(),
         "stream_policy": _rng.STREAM_POLICY,
@@ -252,17 +195,10 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
     y = np.zeros((n, p))
     s = 1.0 / k_steps
     root_s = math.sqrt(s)
-    m = int(config.mc_size) if config.mc_size is not None else None
-    pool = ThreadPoolExecutor(max_workers=workers) if (workers > 1 and mode != "exact") else None
+    pool = ThreadPoolExecutor(max_workers=workers) if (workers > 1 and ev.mode != "exact") else None
     try:
         for k in range(k_steps):
-            t = k / k_steps
-            if mode == "exact":
-                b = drift_exact(run_target, y, t)
-            else:
-                b = _mc_drift_step(
-                    run_target, y, t, mode, m, config.seed, k, pool, workers
-                )
+            b = ev.batch(y, k / k_steps, k, pool, workers)
             inc = _rng.substream(config.seed, _rng.ROLE_INCREMENT, k).standard_normal((n, p))
             y += s * b
             y += root_s * inc

@@ -26,6 +26,7 @@ from .batches import SampleBatch, config_digest
 from .errors import UnknownTargetError, UnsupportedTargetError
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_SOFTMAX_BLOCK = 1 << 15  # points per block of the mixture softmax
 
 
 def _coerce(x, dim):
@@ -129,30 +130,59 @@ class GaussianMixture:
     def n_components(self):
         return self.means.shape[0]
 
-    def _softmax(self, x, t):
-        """Max-shifted exps of the (k, n) logits log w_i + m_i . x_j - t |m_i|^2 / 2.
+    def _softmax_blocks(self, x, t):
+        """Max-shifted exps of the logits log w_i + m_i . x_j - t |m_i|^2 / 2.
 
-        Returns (u, mx), with mx[j] the largest logit of point j.
+        Works through the points in blocks of _SOFTMAX_BLOCK, so the (k, b)
+        exps and the temporaries stay in cache. Yields (rows, u, mx, total)
+        per block: the slice of points, their (k, b) exps (a buffer the next
+        block reuses), each point's largest logit and its column sum of u.
+        Sums over the short axes (p here, k here and in grad_log_ratio) are
+        elementwise passes in a fixed order, not matmul or a reduction,
+        which round a point differently depending on how many points come
+        with it: the drift of one point must not depend on the points
+        evaluated beside it.
         """
-        u = self.means @ x.T
-        u += (self._log_w - t * self._half_sq)[:, None]
-        mx = u.max(axis=0)
-        u -= mx
-        np.exp(u, out=u)
-        return u, mx
+        c = self._log_w - t * self._half_sq
+        xt = x.T
+        n = x.shape[0]
+        buf = np.empty((self.n_components, min(n, _SOFTMAX_BLOCK)))
+        for lo in range(0, n, _SOFTMAX_BLOCK):
+            rows = slice(lo, min(n, lo + _SOFTMAX_BLOCK))
+            u = buf[:, : rows.stop - lo]
+            for row, mean, ci in zip(u, self.means, c):
+                np.multiply(xt[0, rows], mean[0], out=row)
+                for j in range(1, self.dim):
+                    row += mean[j] * xt[j, rows]
+                row += ci
+            mx = u.max(axis=0)
+            u -= mx
+            np.exp(u, out=u)
+            total = u[0].copy()
+            for row in u[1:]:
+                total += row
+            yield rows, u, mx, total
 
     def log_ratio(self, x):
-        u, mx = self._softmax(x, 1.0)
-        return np.log(u.sum(axis=0)) + mx
+        out = np.empty(x.shape[0])
+        for rows, _, mx, total in self._softmax_blocks(x, 1.0):
+            np.log(total, out=out[rows])
+            out[rows] += mx
+        return out
 
     def grad_log_ratio(self, x, t=1.0):
         """Gradient of log Q_{1-t} f: the softmax-weighted mean of the means.
 
         At t = 1 this is grad log f; at t < 1 the closed-form drift.
         """
-        u, _ = self._softmax(x, t)
-        u /= u.sum(axis=0)
-        return u.T @ self.means
+        g = np.empty((x.shape[0], self.dim))
+        for rows, u, _, total in self._softmax_blocks(x, t):
+            u /= total
+            for j, col in enumerate(g[rows].T):
+                np.multiply(u[0], self.means[0, j], out=col)
+                for i in range(1, self.n_components):
+                    col += self.means[i, j] * u[i]
+        return g
 
     def mean(self):
         return self.weights @ self.means

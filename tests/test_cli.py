@@ -128,6 +128,16 @@ def test_validation_failures_are_exit_4(tmp_path, capsys):
     assert _json_out(capsys)["error"] == "UnsupportedTargetError"
 
 
+def test_workers_below_one_are_exit_4(tmp_path, capsys):
+    cfg = _write(tmp_path, GOOD)
+    out = os.path.join(tmp_path, "o")
+    assert main(["sample", "--config", cfg, "--out", out, "--workers", "-3"]) == 4
+    assert _json_out(capsys)["error"] == "ValueError"
+    assert not os.path.exists(os.path.join(out, "samples.csv"))
+    assert main(["sweep", "--config", cfg, "--out", out, "--workers", "0"]) == 4
+    assert _json_out(capsys)["error"] == "ValueError"
+
+
 def test_singularity_is_exit_5_with_context(tmp_path, capsys):
     cfg = _write(tmp_path, SINGULAR)
     assert main(["sample", "--config", cfg, "--out", os.path.join(tmp_path, "o")]) == 5

@@ -2,9 +2,13 @@
 scale invariance, singularity reporting, and regularity probes."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import mixture_f_derivatives, quadrature_drift_1d, quadrature_semigroup_1d
 from sfsampler import (
@@ -16,6 +20,7 @@ from sfsampler import (
     drift_mc_grad,
     drift_mc_stein,
     estimate_regularity,
+    from_potential,
     gaussian,
     gaussian_mixture_target,
     gaussian_potential,
@@ -25,7 +30,9 @@ from sfsampler import (
     standard_gaussian,
 )
 from sfsampler.errors import DriftSingularityError
+from sfsampler import drift as _drift
 from sfsampler import rng as _rng
+from sfsampler import targets as _targets
 
 MIX = gaussian_mixture_target([0.5, 0.5], [[2.0], [-2.0]])
 
@@ -148,6 +155,100 @@ def test_evaluator_validation():
         DriftEvaluator(target=no_grad, mode="mc-grad", m=8)
     with pytest.raises(ValueError):
         DriftEvaluator(target=MIX, mode="warp", m=8)
+
+
+@pytest.mark.parametrize("m", [2.5, "8", True, 0, -3, None])
+def test_evaluator_and_semigroup_need_a_positive_integer_m(m):
+    with pytest.raises(ValueError):
+        DriftEvaluator(target=MIX, mode="mc-grad", m=m)
+    with pytest.raises(ValueError):
+        heat_semigroup_mc(MIX, np.array([0.0]), 0.5, m=m, seed=0)
+
+
+def test_evaluator_accepts_numpy_integer_m():
+    ev = DriftEvaluator(target=MIX, mode="mc-stein", m=np.int64(4), seed=1)
+    assert ev.m == 4 and type(ev.m) is int
+    assert heat_semigroup_mc(MIX, np.array([0.0]), 0.5, m=np.int32(3), seed=0) > 0.0
+
+
+def test_auto_resolves_to_the_default_mode():
+    no_grad = from_potential(lambda x: 0.5 * np.sum(x * x, axis=1), None, dim=1)
+    for target in (MIX, quartic_bump(3.0), no_grad):
+        ev = DriftEvaluator(target=target, mode="auto", m=8, seed=3)
+        assert ev.mode == default_drift_mode(target)
+    assert DriftEvaluator(target=no_grad, mode="auto", m=8).mode == "mc-stein"
+    assert DriftEvaluator(target=MIX, mode="exact", m=5).m is None
+
+
+def test_point_call_rejects_an_evaluator_of_another_mode():
+    grad = DriftEvaluator(target=MIX, mode="mc-grad", m=8)
+    with pytest.raises(ValueError):
+        drift_mc_stein(grad, np.array([0.0]), 0.5)
+    with pytest.raises(ValueError):
+        drift_mc_grad(DriftEvaluator(target=MIX, mode="mc-stein", m=8), np.array([0.0]), 0.5)
+    with pytest.raises(ValueError):
+        drift_mc_grad(DriftEvaluator(target=MIX, mode="exact"), np.array([0.0]), 0.5)
+
+
+@st.composite
+def drift_cases(draw):
+    kind = draw(st.sampled_from(["mixture", "bump", "potential"]))
+    if kind == "mixture":
+        p = draw(st.integers(1, 3))
+        k = draw(st.integers(1, 4))
+        raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+        means = draw(st.lists(st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p),
+                              min_size=k, max_size=k))
+        target = gaussian_mixture_target(raw / raw.sum(), means)
+    elif kind == "bump":
+        p, target = 1, quartic_bump(3.0)
+    else:
+        p = draw(st.integers(1, 3))
+        target = gaussian_potential(draw(st.lists(st.floats(-2.0, 2.0), min_size=p, max_size=p)))
+    mode = draw(st.sampled_from(["mc-grad", "mc-stein"]))
+    n = draw(st.integers(1, 12))
+    lim = 2.0 if kind == "bump" else 4.0
+    pts = np.array(draw(st.lists(st.lists(st.floats(-lim, lim), min_size=p, max_size=p),
+                                 min_size=n, max_size=n)))
+    ts = [0.0, 0.3, 0.75, 0.99] + ([1.0] if mode == "mc-grad" else [])
+    return dict(
+        target=target, mode=mode, pts=pts, t=draw(st.sampled_from(ts)),
+        m=draw(st.integers(1, 40)), k=draw(st.integers(0, 5)), seed=draw(st.integers(0, 99)),
+        chunk_values=draw(st.integers(1, 400)), softmax_block=draw(st.integers(1, 64)),
+        workers=draw(st.sampled_from([1, 2])),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(drift_cases())
+# A matmul-based mixture gradient failed here: BLAS rounded the m = 9 probe
+# rows of one point differently from the same rows inside a 12-point batch.
+@example(dict(
+    target=gaussian_mixture_target([0.3, 0.7], [[2.0], [-1.5]]), mode="mc-grad",
+    pts=np.linspace(-5.0, 5.0, 25)[:12, None], t=0.0, m=9, k=0, seed=12,
+    chunk_values=400, softmax_block=1 << 15, workers=1,
+))
+def test_batch_rows_equal_point_calls_bit_for_bit(case):
+    ev = DriftEvaluator(target=case["target"], mode=case["mode"], m=case["m"], seed=case["seed"])
+    point = drift_mc_grad if ev.mode == "mc-grad" else drift_mc_stein
+    pts, t, k, workers = case["pts"], case["t"], case["k"], case["workers"]
+    rows, dead = [], None
+    for i, x in enumerate(pts):
+        try:
+            rows.append(point(ev, x, t, k, i))
+        except DriftSingularityError:
+            dead = i if dead is None else dead
+    with mock.patch.object(_drift, "_CHUNK_VALUES", case["chunk_values"]), \
+            mock.patch.object(_targets, "_SOFTMAX_BLOCK", case["softmax_block"]), \
+            ThreadPoolExecutor(max_workers=workers) as pool:
+        if dead is not None:
+            with pytest.raises(DriftSingularityError) as err:
+                ev.batch(pts, t, k, pool, workers)
+            assert err.value.particle_index == dead
+            return
+        got = ev.batch(pts, t, k, pool, workers)
+    assert got.shape == pts.shape
+    assert np.array_equal(got, np.vstack(rows))
 
 
 def test_heat_semigroup_at_zero_time_is_f_itself():

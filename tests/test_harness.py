@@ -43,6 +43,8 @@ def test_plan_validation():
         _tiny_plan(replications=2)
     with pytest.raises(ValueError):
         _tiny_plan(metric="kl")
+    with pytest.raises(ValueError):
+        _tiny_plan(workers=0)
 
 
 def test_run_experiment_writes_artifacts(tmp_path):

@@ -117,6 +117,15 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(one.samples, many.samples)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_are_rejected_before_any_thread_starts(workers):
+    cfg = SamplerConfig(steps=2, particles=16, seed=13, drift="mc-grad", mc_size=4)
+    before = set(threading.enumerate())
+    with pytest.raises(ValueError, match="workers"):
+        sfs_run(cfg, MIX, workers=workers)
+    assert set(threading.enumerate()) == before
+
+
 def test_trajectory_ends_at_the_terminal_states():
     cfg = SamplerConfig(steps=9, particles=40, seed=4)
     path = sfs_trajectory(cfg, MIX)
