@@ -1,8 +1,10 @@
-"""Sample containers and their on-disk form: CSV plus a JSON sidecar.
+"""Sample containers and every JSON and CSV artifact's on-disk form.
 
-The CSV is the reproducibility contract (fixed float format, fixed
+The sample CSV is the reproducibility contract (fixed float format, fixed
 newlines, digest in the header), so two runs with the same resolved config
-and seed produce byte-identical files. Timings live only in the sidecar.
+and seed produce byte-identical files. Timings live only in the JSON
+sidecar. The JSON reports (sidecar, plan, summary, comparison, drift check,
+regularity) share one form, and the rate tables share the CSV float format.
 """
 
 import hashlib
@@ -11,6 +13,8 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+
+_FLOAT_FMT = "%.17g"  # 17 significant digits round-trip every float64
 
 
 def config_digest(config):
@@ -48,6 +52,30 @@ class SampleBatch:
         return self.samples.shape[1]
 
 
+def dump_json(payload, fh):
+    """Write payload in the artifact JSON form: indent 2, sorted keys, final newline."""
+    json.dump(payload, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def write_json(path, payload):
+    """Write payload to path in the artifact JSON form, creating its directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        dump_json(payload, fh)
+
+
+def rate_table_csv(path, header, rows):
+    """Write a rate table with stable float formatting (for diffs)."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = [_FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row]
+            fh.write(",".join(cells) + "\n")
+    return path
+
+
 def save_batch(batch, out_dir, stem="samples"):
     """Write ``<stem>.csv`` and ``<stem>.json`` under out_dir.
 
@@ -62,7 +90,7 @@ def save_batch(batch, out_dir, stem="samples"):
         fh.write(f"# config_digest: {batch.config_digest}\n")
         fh.write(f"# seed: {batch.seed}\n")
         fh.write(",".join(columns) + "\n")
-        np.savetxt(fh, batch.samples, fmt="%.17g", delimiter=",")
+        np.savetxt(fh, batch.samples, fmt=_FLOAT_FMT, delimiter=",")
     sidecar = {
         "columns": columns,
         "config": batch.config,
@@ -72,9 +100,7 @@ def save_batch(batch, out_dir, stem="samples"):
         "seed": batch.seed,
         "wallclock": batch.wallclock,
     }
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(sidecar_path, sidecar)
     return {"csv": csv_path, "sidecar": sidecar_path}
 
 

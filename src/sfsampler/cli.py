@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
 import numpy as np
 
-from .batches import save_batch
+from .batches import dump_json, save_batch, write_json
 from .config import (
+    RUN_KEYS,
     plan_from_config,
     read_ini,
     sampler_from_config,
@@ -68,7 +68,8 @@ def build_parser():
     p_sample = sub.add_parser("sample", help="run the sampler and write a batch")
     add_common(p_sample, need_out=True)
     p_sample.add_argument(
-        "--trajectory", action="store_true", help="record and save full paths"
+        "--trajectory", dest="record_trajectory", action="store_const", const=True,
+        help="record and save full paths",
     )
     p_sample.set_defaults(func=_cmd_sample)
 
@@ -93,29 +94,24 @@ def build_parser():
     return parser
 
 
-def _overrides(args):
-    out = {
-        "seed": args.seed,
-        "steps": args.steps,
-        "particles": args.particles,
-        "mc_size": args.mc_size,
-        "eps_rule": args.eps_rule,
-        "drift": args.drift,
-    }
-    if getattr(args, "trajectory", False):
-        out["record_trajectory"] = True
-    return out
+def _load(args):
+    """Read the run file: its sections, the target, and the sampler config.
+
+    Every [run] key whose flag was given on the command line overrides
+    the file's value.
+    """
+    sections = read_ini(args.config)
+    target = target_from_config(sections)
+    overrides = {key: getattr(args, key, None) for key in RUN_KEYS}
+    return sections, target, sampler_from_config(sections, overrides)
 
 
 def _emit(payload):
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    dump_json(payload, sys.stdout)
 
 
 def _cmd_sample(args):
-    sections = read_ini(args.config)
-    target = target_from_config(sections)
-    config = sampler_from_config(sections, _overrides(args))
+    _, target, config = _load(args)
     batch = sfs_run(config, target, workers=args.workers)
     paths = save_batch(batch, args.out, stem="samples")
     write_resolved_ini(os.path.join(args.out, "resolved.ini"), target, config)
@@ -149,9 +145,7 @@ def _mc_evaluator(target, config):
 
 
 def _cmd_drift_check(args):
-    sections = read_ini(args.config)
-    target = target_from_config(sections)
-    config = sampler_from_config(sections, _overrides(args))
+    _, target, config = _load(args)
     if target.mixture is None:
         raise UnsupportedTargetError(
             f"drift-check needs the closed form, so a mixture target; "
@@ -180,18 +174,13 @@ def _cmd_drift_check(args):
         "target": target.name,
     }
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "drift_check.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(args.out, "drift_check.json"), report)
     _emit(report)
     return EXIT_OK
 
 
 def _cmd_sweep(args):
-    sections = read_ini(args.config)
-    target = target_from_config(sections)
-    base = sampler_from_config(sections, _overrides(args))
+    sections, target, base = _load(args)
     plan = plan_from_config(sections, base)
     if args.workers != 1:
         plan = dataclasses.replace(plan, workers=args.workers)
@@ -211,9 +200,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_compare(args):
-    sections = read_ini(args.config)
-    target = target_from_config(sections)
-    config = sampler_from_config(sections, _overrides(args))
+    sections, target, config = _load(args)
     ula = ula_from_config(sections)
     report = compare_samplers(
         target,
@@ -230,9 +217,7 @@ def _cmd_compare(args):
 
 
 def _cmd_regularity(args):
-    sections = read_ini(args.config)
-    target = target_from_config(sections)
-    config = sampler_from_config(sections, _overrides(args))
+    _, target, config = _load(args)
     evaluator = None if target.mixture is not None else _mc_evaluator(target, config)
     estimate = estimate_regularity(target, seed=config.seed, evaluator=evaluator)
     report = {"command": "regularity", "estimate": estimate.describe(), "target": target.name}
@@ -247,10 +232,7 @@ def _cmd_regularity(args):
             "c0_ok": bool(estimate.c0_hat <= b_sup_bound**2),
         }
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "regularity.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(args.out, "regularity.json"), report)
     _emit(report)
     return EXIT_OK
 

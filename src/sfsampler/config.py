@@ -18,17 +18,20 @@ from .harness import ExperimentPlan
 from .sampler import EpsSchedule, SamplerConfig
 from .targets import build_target
 
+# Key tables, in the order write_resolved_ini writes each section; the
+# [target] keys are sorted because that section is written from the sorted
+# target.params.
 _TARGET_KEYS = {
-    "kind": "str",
     "dim": "int",
-    "mean": "floats",
+    "kind": "str",
     "log_scale": "float",
-    "weights": "floats",
+    "mean": "floats",
     "means": "rows",
     "radius": "float",
+    "weights": "floats",
 }
 _REG_KEYS = {"gamma": "float", "xi": "float", "zeta": "float"}
-_RUN_KEYS = {
+RUN_KEYS = {
     "seed": "int",
     "steps": "int",
     "particles": "int",
@@ -48,7 +51,7 @@ _PLAN_KEYS = {
 _SECTIONS = {
     "target": _TARGET_KEYS,
     "target.regularity": _REG_KEYS,
-    "run": _RUN_KEYS,
+    "run": RUN_KEYS,
     "ula": _ULA_KEYS,
     "plan": _PLAN_KEYS,
 }
@@ -151,7 +154,7 @@ def sampler_from_config(sections, overrides=None):
     """
     run = dict(sections.get("run", {}))
     for key, value in (overrides or {}).items():
-        if key not in _RUN_KEYS:
+        if key not in RUN_KEYS:
             raise ConfigError(f"unknown run setting {key!r}")
         if value is not None:
             run[key] = value
@@ -216,53 +219,49 @@ def _fmt(value):
     return str(value)
 
 
-def _eps_text(eps):
-    if eps.rule == "fixed":
-        return f"fixed:{eps.value!r}"
-    return eps.rule
-
-
 def write_resolved_ini(path, target, config, ula=None, plan=None):
     """Write the fully resolved settings as an INI that parses back losslessly.
 
     The [target] section is rebuilt from target.params, so what lands on
     disk is what build_target actually constructed, not what the user
-    typed.
+    typed. Sections given as None are left out, and so are keys whose
+    value is None.
     """
-    lines = ["[target]"]
-    for key, value in sorted(target.params.items()):
-        lines.append(f"{key} = {_fmt(value)}")
-    if target.regularity is not None:
-        lines.append("")
-        lines.append("[target.regularity]")
-        for key, value in sorted(target.regularity.describe().items()):
-            lines.append(f"{key} = {_fmt(value)}")
-    lines.append("")
-    lines.append("[run]")
-    lines.append(f"seed = {config.seed}")
-    lines.append(f"steps = {config.steps}")
-    lines.append(f"particles = {config.particles}")
-    lines.append(f"drift = {config.drift}")
-    if config.mc_size is not None:
-        lines.append(f"mc_size = {config.mc_size}")
-    lines.append(f"eps_rule = {_eps_text(config.eps)}")
-    lines.append(f"record_trajectory = {_fmt(bool(config.record_trajectory))}")
-    if ula is not None:
-        lines.append("")
-        lines.append("[ula]")
-        lines.append(f"step_size = {_fmt(float(ula['step_size']))}")
-        lines.append(f"burn_in = {int(ula['burn_in'])}")
-        if ula.get("post_steps") is not None:
-            lines.append(f"post_steps = {int(ula['post_steps'])}")
-    if plan is not None:
-        lines.append("")
-        lines.append("[plan]")
-        lines.append(f"name = {plan.name}")
-        lines.append(f"axis = {plan.axis}")
-        lines.append(f"values = {_fmt(list(plan.values))}")
-        lines.append(f"replications = {plan.replications}")
-        lines.append(f"metric = {plan.metric}")
+    reg = target.regularity
+    sections = {
+        "target": dict(sorted(target.params.items())),
+        "target.regularity": None if reg is None else reg.describe(),
+        "run": {
+            "seed": config.seed,
+            "steps": config.steps,
+            "particles": config.particles,
+            "drift": config.drift,
+            "mc_size": config.mc_size,
+            "eps_rule": str(config.eps),
+            "record_trajectory": bool(config.record_trajectory),
+        },
+        "ula": None if ula is None else {
+            "step_size": float(ula["step_size"]),
+            "burn_in": int(ula["burn_in"]),
+            "post_steps": None if ula.get("post_steps") is None else int(ula["post_steps"]),
+        },
+        "plan": None if plan is None else {
+            "name": plan.name,
+            "axis": plan.axis,
+            "values": list(plan.values),
+            "replications": plan.replications,
+            "metric": plan.metric,
+        },
+    }
+    text = "\n\n".join(
+        "\n".join(
+            [f"[{name}]"]
+            + [f"{key} = {_fmt(value)}" for key, value in values.items() if value is not None]
+        )
+        for name, values in sections.items()
+        if values is not None
+    )
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text + "\n")
     return path

@@ -13,7 +13,6 @@ sweep continues.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 from dataclasses import dataclass
@@ -22,14 +21,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import rng as _rng
-from .batches import config_digest, save_batch
-from .metrics import (
-    exact_w2_assignment,
-    fit_rate,
-    rate_table_csv,
-    sliced_w2,
-    wasserstein2_1d,
-)
+from .batches import config_digest, rate_table_csv, save_batch, write_json
+from .metrics import exact_w2_assignment, fit_rate, sliced_w2, wasserstein2_1d
 from .drift import DriftEvaluator
 from .sampler import EpsSchedule, SamplerConfig, sfs_run, ula_run
 from .targets import build_target, sample_ground_truth
@@ -63,6 +56,11 @@ class ExperimentPlan:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("replications", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         if len(self.values) < 3:
@@ -112,16 +110,13 @@ def run_experiment(plan, out_dir):
         axis value; successful cells carry mean W2, its standard error
         over replications, and the cell's ground-truth noise floor.
     """
-    os.makedirs(out_dir, exist_ok=True)
     target = build_target(plan.target_options)
     if plan.metric == "w2_1d" and target.dim != 1:
         raise ValueError("metric w2_1d needs a one-dimensional target")
 
     plan_desc = plan.describe()
     plan_digest = config_digest(plan_desc)
-    with open(os.path.join(out_dir, "plan.json"), "w") as fh:
-        json.dump({"digest": plan_digest, "plan": plan_desc}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "plan.json"), {"digest": plan_digest, "plan": plan_desc})
 
     start = time.perf_counter()
     cells = []
@@ -178,9 +173,7 @@ def run_experiment(plan, out_dir):
         "plan_digest": plan_digest,
         "wallclock": time.perf_counter() - start,
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
 
@@ -272,10 +265,7 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, ula_post_steps=
         "ula": score(ula_batch.samples),
     }
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         save_batch(sfs_batch, out_dir, stem="sfs")
         save_batch(ula_batch, out_dir, stem="ula")
-        with open(os.path.join(out_dir, "comparison.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(out_dir, "comparison.json"), report)
     return report

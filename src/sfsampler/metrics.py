@@ -10,7 +10,6 @@ solves the matching problem outright and is guarded to small batches.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -297,19 +296,3 @@ def w2_noise_floor(target, n, seed, pairs=3, metric="w2_1d", n_projections=64):
         else:
             raise ValueError(f"unknown metric {metric!r}")
     return float(np.mean(vals))
-
-
-def rate_table_csv(path, header, rows):
-    """Write a rate table with stable float formatting (for diffs)."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for v in row:
-                if isinstance(v, float):
-                    cells.append("%.17g" % v)
-                else:
-                    cells.append(str(v))
-            fh.write(",".join(cells) + "\n")
-    return path

@@ -26,7 +26,7 @@ import numpy as np
 from . import rng as _rng
 from .batches import SampleBatch, config_digest
 from .drift import _CHUNK_VALUES  # noqa: F401 - bench/replay.py chunks its replay by it
-from .drift import DRIFT_MODES, DriftEvaluator
+from .drift import DRIFT_MODES, DriftEvaluator, _check_m
 from .errors import NonFiniteStateError, UnsupportedTargetError
 from .targets import describe, regularize
 
@@ -65,6 +65,10 @@ class EpsSchedule:
         if text.startswith("fixed:"):
             return EpsSchedule(rule="fixed", value=float(text.split(":", 1)[1]))
         raise ValueError(f"cannot parse eps rule {text!r}")
+
+    def __str__(self):
+        """The text form ``parse`` reads back to an equal schedule."""
+        return f"fixed:{self.value!r}" if self.rule == "fixed" else self.rule
 
     def bind(self, m=None):
         """Resolve the schedule to a concrete eps, once per run."""
@@ -113,14 +117,14 @@ class SamplerConfig:
     record_trajectory: bool = False
 
     def __post_init__(self):
-        if not (isinstance(self.steps, int) and self.steps >= 1):
-            raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
-        if not (isinstance(self.particles, int) and self.particles >= 1):
-            raise ValueError(f"particles must be a positive integer, got {self.particles!r}")
+        for name in ("steps", "particles"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.drift not in ("auto",) + DRIFT_MODES:
             raise ValueError(f"drift must be auto or one of {DRIFT_MODES}, got {self.drift!r}")
-        if self.mc_size is not None and not (isinstance(self.mc_size, int) and self.mc_size >= 1):
-            raise ValueError(f"mc_size must be a positive integer, got {self.mc_size!r}")
+        if self.mc_size is not None:
+            object.__setattr__(self, "mc_size", _check_m(self.mc_size))
         _rng.check_seed(self.seed)
 
     def describe(self):

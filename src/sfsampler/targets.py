@@ -589,12 +589,27 @@ def gaussian_potential(mean, log_scale=0.0):
     )
 
 
+# kind -> (constructor, required options, optional options); the [target]
+# section of a config file holds "kind" plus exactly these keys.
+_KINDS = {
+    "standard": (standard_gaussian, (), ("dim",)),
+    "gaussian": (gaussian, ("mean",), ()),
+    "mixture": (gaussian_mixture_target, ("weights", "means"), ()),
+    "bump": (quartic_bump, (), ("radius",)),
+    "gaussian-potential": (gaussian_potential, ("mean",), ("log_scale",)),
+}
+
+
 def build_target(options):
     """Build a target from a plain options dict (the config-file form).
 
-    The dict must carry a "kind" key naming one of the registered target
-    kinds; remaining keys are kind-specific. An optional "regularity" dict
-    declares (gamma, xi, zeta).
+    The dict must carry a "kind" key naming one of the kinds above; the
+    remaining keys are that kind's required and optional options. An
+    optional "regularity" dict declares (gamma, xi, zeta).
+
+    Raises:
+        UnknownTargetError: the kind is not registered.
+        ValueError: a required option is missing or an unexpected one given.
     """
     if not isinstance(options, dict) or "kind" not in options:
         raise ValueError("target options must be a dict with a 'kind' key")
@@ -602,42 +617,16 @@ def build_target(options):
     kind = opts.pop("kind")
     reg = opts.pop("regularity", None)
     regularity = TargetRegularity(**reg) if isinstance(reg, dict) else reg
-
-    if kind == "standard":
-        dim = int(opts.pop("dim", 1))
-        _reject_extra(kind, opts)
-        target = standard_gaussian(dim)
-        if regularity is not None:
-            target = _with_regularity(target, regularity)
+    if kind not in _KINDS:
+        raise UnknownTargetError(f"unknown target kind {kind!r}")
+    make, required, optional = _KINDS[kind]
+    missing = [key for key in required if key not in opts]
+    if missing:
+        raise ValueError(f"target kind {kind!r} is missing required options {missing}")
+    extra = sorted(set(opts) - set(required) - set(optional))
+    if extra:
+        raise ValueError(f"unexpected options for target kind {kind!r}: {extra}")
+    target = make(**opts)
+    if regularity is None:
         return target
-    if kind == "gaussian":
-        mean = opts.pop("mean")
-        _reject_extra(kind, opts)
-        return gaussian(mean, regularity)
-    if kind == "mixture":
-        weights = opts.pop("weights")
-        means = opts.pop("means")
-        _reject_extra(kind, opts)
-        return gaussian_mixture_target(weights, means, regularity)
-    if kind == "bump":
-        radius = float(opts.pop("radius", 3.0))
-        _reject_extra(kind, opts)
-        return quartic_bump(radius, regularity)
-    if kind == "gaussian-potential":
-        mean = opts.pop("mean")
-        log_scale = float(opts.pop("log_scale", 0.0))
-        _reject_extra(kind, opts)
-        target = gaussian_potential(mean, log_scale)
-        if regularity is not None:
-            target = _with_regularity(target, regularity)
-        return target
-    raise UnknownTargetError(f"unknown target kind {kind!r}")
-
-
-def _reject_extra(kind, opts):
-    if opts:
-        raise ValueError(f"unexpected options for target kind {kind!r}: {sorted(opts)}")
-
-
-def _with_regularity(target, regularity):
     return dataclasses.replace(target, regularity=regularity)

@@ -127,6 +127,17 @@ def test_validation_failures_are_exit_4(tmp_path, capsys):
     assert main(["drift-check", "--config", bump]) == 4
     assert _json_out(capsys)["error"] == "UnsupportedTargetError"
 
+    for target, key in (
+        ("kind = gaussian", "mean"),
+        ("kind = mixture\nweights = 1", "means"),
+        ("kind = gaussian-potential", "mean"),
+    ):
+        missing = _write(tmp_path, f"[target]\n{target}\n\n[run]\nseed = 1\n", name="m.ini")
+        assert main(["sample", "--config", missing, "--out", os.path.join(tmp_path, "o")]) == 4
+        payload = _json_out(capsys)
+        assert payload["error"] == "ValueError"
+        assert f"['{key}']" in payload["message"]
+
 
 def test_workers_below_one_are_exit_4(tmp_path, capsys):
     cfg = _write(tmp_path, GOOD)

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from sfsampler import ConfigError, EpsSchedule, SamplerConfig, UnknownTargetError
+from sfsampler import ConfigError, EpsSchedule, ExperimentPlan, SamplerConfig, UnknownTargetError
 from sfsampler.config import (
     plan_from_config,
     read_ini,
@@ -107,6 +107,83 @@ def test_round_trip_preserves_awkward_floats(tmp_path):
     write_resolved_ini(path, target, SamplerConfig(steps=1, particles=1, seed=0))
     target2 = target_from_config(read_ini(path))
     assert target2.params == target.params
+
+
+GOLDEN_FULL = """[target]
+kind = mixture
+means = 2.0 1.0; -2.0 0.5
+weights = 0.25 0.75
+
+[target.regularity]
+gamma = 100.0
+xi = 0.01
+zeta = 8.0
+
+[run]
+seed = 123456789
+steps = 17
+particles = 33
+drift = mc-grad
+mc_size = 9
+eps_rule = fixed:0.30000000000000004
+record_trajectory = true
+
+[ula]
+step_size = 0.05
+burn_in = 100
+post_steps = 53
+
+[plan]
+name = golden
+axis = eps
+values = 0.1 0.2 0.3333333333333333
+replications = 4
+metric = sliced
+"""
+
+GOLDEN_MINIMAL = """[target]
+kind = gaussian-potential
+log_scale = -3.75
+mean = 0.5 1e-17
+
+[run]
+seed = 0
+steps = 4
+particles = 8
+drift = auto
+eps_rule = none
+record_trajectory = false
+"""
+
+
+def test_resolved_ini_bytes_are_pinned(tmp_path):
+    target = build_target(
+        {
+            "kind": "mixture",
+            "weights": [0.25, 0.75],
+            "means": [[2.0, 1.0], [-2.0, 0.5]],
+            "regularity": {"gamma": 100.0, "xi": 0.01, "zeta": 8.0},
+        }
+    )
+    config = SamplerConfig(
+        steps=17, particles=33, seed=123456789, drift="mc-grad", mc_size=9,
+        eps=EpsSchedule(rule="fixed", value=0.1 + 0.2), record_trajectory=True,
+    )
+    plan = ExperimentPlan(
+        name="golden", target_options=dict(target.params), base=config, axis="eps",
+        values=(0.1, 0.2, 1 / 3), replications=4, metric="sliced",
+    )
+    ula = {"step_size": 0.05, "burn_in": 100, "post_steps": 53}
+    path = os.path.join(tmp_path, "full", "resolved.ini")
+    write_resolved_ini(path, target, config, ula=ula, plan=plan)
+    with open(path, "rb") as fh:
+        assert fh.read() == GOLDEN_FULL.encode()
+
+    target = build_target({"kind": "gaussian-potential", "mean": [0.5, 1e-17], "log_scale": -3.75})
+    path = os.path.join(tmp_path, "minimal.ini")
+    write_resolved_ini(path, target, SamplerConfig(steps=4, particles=8, seed=0))
+    with open(path, "rb") as fh:
+        assert fh.read() == GOLDEN_MINIMAL.encode()
 
 
 def test_unknown_target_kind(tmp_path):

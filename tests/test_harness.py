@@ -45,6 +45,12 @@ def test_plan_validation():
         _tiny_plan(metric="kl")
     with pytest.raises(ValueError):
         _tiny_plan(workers=0)
+    for bad in ({"replications": 3.5}, {"replications": True}, {"workers": 1.5}, {"workers": True}):
+        with pytest.raises(ValueError):
+            _tiny_plan(**bad)
+    plan = _tiny_plan(replications=np.int64(4), workers=np.int64(2))
+    assert (plan.replications, plan.workers) == (4, 2)
+    assert type(plan.replications) is int and type(plan.workers) is int
 
 
 def test_run_experiment_writes_artifacts(tmp_path):

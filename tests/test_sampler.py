@@ -224,6 +224,20 @@ def test_config_validation():
         SamplerConfig(steps=10, particles=10, seed=0, drift="best")
     with pytest.raises(ValueError):
         SamplerConfig(steps=10, particles=10, seed=-1)
+    # Bools are not integers here, and mc_size takes the drift evaluator's
+    # rule: any positive integer, numpy integers included, stored as int.
+    for bad in (
+        {"steps": True},
+        {"particles": True},
+        {"mc_size": True},
+        {"mc_size": 2.5},
+        {"mc_size": "8"},
+        {"mc_size": 0},
+    ):
+        with pytest.raises(ValueError):
+            SamplerConfig(**{"steps": 10, "particles": 10, "seed": 0, **bad})
+    config = SamplerConfig(steps=10, particles=10, seed=0, mc_size=np.int64(8))
+    assert config.mc_size == 8 and type(config.mc_size) is int
 
 
 def test_regularized_run_tracks_the_regularized_law():

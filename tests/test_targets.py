@@ -238,6 +238,13 @@ def test_build_target_error_paths():
         build_target({"kind": "bump", "radius": 3.0, "mean": [0.0]})
     with pytest.raises(ValueError):
         build_target({"weights": [1.0]})
+    for options, key in (
+        ({"kind": "gaussian"}, "mean"),
+        ({"kind": "mixture", "weights": [1.0]}, "means"),
+        ({"kind": "gaussian-potential", "log_scale": 1.0}, "mean"),
+    ):
+        with pytest.raises(ValueError, match=f"missing required options \\['{key}'\\]"):
+            build_target(options)
 
 
 def test_build_target_accepts_regularity():
