@@ -13,10 +13,10 @@ from __future__ import annotations
 import configparser
 import os
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int, check_real
 from .harness import ExperimentPlan
 from .sampler import EpsSchedule, SamplerConfig
-from .targets import build_target
+from .targets import _KINDS, build_target
 
 # Key tables, in the order write_resolved_ini writes each section; the
 # [target] keys are sorted because that section is written from the sorted
@@ -166,8 +166,8 @@ def sampler_from_config(sections, overrides=None):
     except ValueError as exc:
         raise ConfigError(f"[run] eps_rule: {exc}") from None
     return SamplerConfig(
-        steps=int(run.pop("steps", 100)),
-        particles=int(run.pop("particles", 1000)),
+        steps=run.pop("steps", 100),
+        particles=run.pop("particles", 1000),
         seed=run.pop("seed"),
         drift=str(run.pop("drift", "auto")),
         mc_size=run.pop("mc_size", None),
@@ -181,11 +181,7 @@ def ula_from_config(sections):
     ula = sections.get("ula", {})
     if "step_size" not in ula or "burn_in" not in ula:
         raise ConfigError("comparison needs [ula] with step_size and burn_in")
-    return {
-        "step_size": float(ula["step_size"]),
-        "burn_in": int(ula["burn_in"]),
-        "post_steps": ula.get("post_steps"),
-    }
+    return {key: ula.get(key) for key in _ULA_KEYS}
 
 
 def plan_from_config(sections, base):
@@ -200,7 +196,7 @@ def plan_from_config(sections, base):
             base=base,
             axis=str(plan["axis"]),
             values=tuple(plan["values"]),
-            replications=int(plan.get("replications", 3)),
+            replications=plan.get("replications", 3),
             metric=str(plan.get("metric", "w2_1d")),
         )
     except ValueError as exc:
@@ -208,8 +204,6 @@ def plan_from_config(sections, base):
 
 
 def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple)):
@@ -226,7 +220,14 @@ def write_resolved_ini(path, target, config, ula=None, plan=None):
     disk is what build_target actually constructed, not what the user
     typed. Sections given as None are left out, and so are keys whose
     value is None.
+
+    Raises:
+        ValueError: the target is not of a kind build_target rebuilds, such
+            as a from_potential or regularized target.
     """
+    kind = target.params.get("kind")
+    if kind not in _KINDS:
+        raise ValueError(f"resolved.ini cannot rebuild a target of kind {kind!r}")
     reg = target.regularity
     sections = {
         "target": dict(sorted(target.params.items())),
@@ -238,12 +239,14 @@ def write_resolved_ini(path, target, config, ula=None, plan=None):
             "drift": config.drift,
             "mc_size": config.mc_size,
             "eps_rule": str(config.eps),
-            "record_trajectory": bool(config.record_trajectory),
+            "record_trajectory": "true" if config.record_trajectory else "false",
         },
         "ula": None if ula is None else {
-            "step_size": float(ula["step_size"]),
-            "burn_in": int(ula["burn_in"]),
-            "post_steps": None if ula.get("post_steps") is None else int(ula["post_steps"]),
+            "step_size": check_real("step_size", ula["step_size"], low=0.0),
+            "burn_in": check_int("burn_in", ula["burn_in"], minimum=0),
+            "post_steps": None if ula.get("post_steps") is None else check_int(
+                "post_steps", ula["post_steps"]
+            ),
         },
         "plan": None if plan is None else {
             "name": plan.name,

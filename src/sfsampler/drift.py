@@ -30,8 +30,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import rng as _rng
-from .errors import DriftSingularityError, UnsupportedTargetError
-from .targets import _check_finite, _coerce
+from .errors import DriftSingularityError, UnsupportedTargetError, check_int, check_real
+from .targets import _coerce
 
 DRIFT_MODES = ("exact", "mc-grad", "mc-stein")
 
@@ -44,14 +44,6 @@ def default_drift_mode(target):
 
 
 _CHUNK_VALUES = 1 << 22  # Z values generated per chunk in MC drift
-
-
-def _check_m(m):
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(
-            f"the Monte-Carlo batch size m (mc_size) must be a positive integer, got {m!r}"
-        )
-    return int(m)
 
 
 @dataclass(frozen=True)
@@ -83,7 +75,7 @@ class DriftEvaluator:
                 )
             m = None
         else:
-            m = _check_m(self.m)
+            m = check_int("the Monte-Carlo batch size m (mc_size)", self.m)
             if mode == "mc-grad" and self.target.grad_log_f is None:
                 raise UnsupportedTargetError(
                     f"gradient-form estimator needs grad log f, {self.target.name!r} has none"
@@ -134,8 +126,8 @@ class DriftEvaluator:
 
 
 def _check_t(t, *, allow_one=True):
-    t = float(t)
-    if not (math.isfinite(t) and 0.0 <= t <= 1.0):
+    t = check_real("t", t)
+    if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
     if not allow_one and t == 1.0:
         raise ValueError("t = 1 is rejected: the Stein form divides by sqrt(1 - t)")
@@ -154,11 +146,10 @@ def heat_semigroup_mc(target, x, t, m, seed):
         seed: root seed; draws come from the semigroup role stream.
     """
     t = _check_t(t)
-    m = _check_m(m)
+    m = check_int("m", m)
     pts, single = _coerce(x, target.dim)
     if not single:
         raise ValueError("heat_semigroup_mc evaluates one point at a time")
-    _check_finite(pts)
     z = _rng.substream(seed, _rng.ROLE_SEMIGROUP, 0).standard_normal((m, target.dim))
     probe = pts + math.sqrt(t) * z
     lf = target.log_f(probe) + target.log_scale
@@ -178,7 +169,6 @@ def drift_exact(target, x, t):
         )
     t = _check_t(t)
     pts, single = _coerce(x, target.dim)
-    _check_finite(pts)
     b = target.mixture.grad_log_ratio(pts, t)
     return np.asarray(b[0]) if single else b
 
@@ -241,11 +231,8 @@ def _drift_mc(ev, x, t, step_index, particle_index, mode):
     pts, single = _coerce(x, ev.target.dim)
     if not single:
         raise ValueError("direct drift calls evaluate one point at a time")
-    _check_finite(pts)
-    step_index = int(step_index)
-    particle_index = int(particle_index)
-    if step_index < 0 or particle_index < 0:
-        raise ValueError("step_index and particle_index must be non-negative")
+    step_index = check_int("step_index", step_index, minimum=0)
+    particle_index = check_int("particle_index", particle_index, minimum=0)
     z = _rng.normal_row(
         ev.seed, _rng.ROLE_DRIFT, step_index, particle_index, (ev.m, ev.target.dim)
     )
@@ -297,10 +284,10 @@ class ProbeGrid:
     radial_points: int = 9
 
     def __post_init__(self):
-        if not (self.lo < self.hi):
+        if not check_real("lo", self.lo) < check_real("hi", self.hi):
             raise ValueError("need lo < hi")
-        if self.points_per_axis < 2 or self.directions < 1 or self.radial_points < 2:
-            raise ValueError("grid resolution parameters are too small")
+        for name, minimum in (("points_per_axis", 2), ("directions", 1), ("radial_points", 2)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         for t in self.t_values:
             _check_t(t, allow_one=False)
 

@@ -1,4 +1,30 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks of counts and reals."""
+
+import math
+import numbers
+
+
+def check_int(name, value, minimum=1):
+    """Return value as an int: any integer, numpy's included, but a bool.
+
+    Raises ValueError for a bool, a float, a string, or a value below minimum.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        kind = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
+
+
+def check_real(name, value, low=None, high=None):
+    """Return value as a float: a finite real number, not a bool, strictly inside (low, high).
+
+    A bound given as None is left open. Raises ValueError otherwise.
+    """
+    low = -math.inf if low is None else low
+    high = math.inf if high is None else high
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not low < value < high:
+        raise ValueError(f"{name} must be a finite real number in ({low}, {high}), got {value!r}")
+    return float(value)
 
 
 class ConfigError(Exception):

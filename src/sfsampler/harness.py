@@ -23,7 +23,8 @@ from scipy.spatial.distance import cdist
 from . import rng as _rng
 from .batches import config_digest, rate_table_csv, save_batch, write_json
 from .metrics import exact_w2_assignment, fit_rate, sliced_w2, wasserstein2_1d
-from .drift import DriftEvaluator
+from .drift import DriftEvaluator, default_drift_mode
+from .errors import check_int, check_real
 from .sampler import EpsSchedule, SamplerConfig, sfs_run, ula_run
 from .targets import build_target, sample_ground_truth
 
@@ -56,21 +57,19 @@ class ExperimentPlan:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("replications", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "replications", check_int("replications", self.replications, 3))
+        object.__setattr__(self, "workers", check_int("workers", self.workers))
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         if len(self.values) < 3:
             raise ValueError(f"a sweep needs at least 3 axis values, got {len(self.values)}")
-        if self.replications < 3:
-            raise ValueError(f"need at least 3 replications, got {self.replications}")
+        # A count axis takes whole values only; one below 1 fails its own cell.
+        for value in self.values:
+            whole = check_real(f"{self.axis} value", value).is_integer()
+            if not whole and self.axis != "eps":
+                raise ValueError(f"{self.axis} values must be whole numbers, got {value!r}")
         if self.metric not in PLAN_METRICS:
             raise ValueError(f"metric must be one of {PLAN_METRICS}, got {self.metric!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
     def describe(self):
         return {
@@ -113,6 +112,11 @@ def run_experiment(plan, out_dir):
     target = build_target(plan.target_options)
     if plan.metric == "w2_1d" and target.dim != 1:
         raise ValueError("metric w2_1d needs a one-dimensional target")
+    drift = default_drift_mode(target) if plan.base.drift == "auto" else plan.base.drift
+    if plan.axis == "mc_size" and drift == "exact":
+        raise ValueError(
+            "an mc_size sweep needs a Monte-Carlo drift mode; the closed-form drift ignores m"
+        )
 
     plan_desc = plan.describe()
     plan_digest = config_digest(plan_desc)
@@ -222,7 +226,8 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, ula_post_steps=
             "evaluator has no per-step evaluation count"
         )
     total = config.steps * ev.m
-    ula_burn_in = int(ula_burn_in)
+    ula_step_size = check_real("step_size", ula_step_size, low=0.0)
+    ula_burn_in = check_int("ula_burn_in", ula_burn_in, minimum=0)
     if ula_post_steps is None:
         ula_post_steps = total - ula_burn_in
         if ula_post_steps < 1:
@@ -230,7 +235,7 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, ula_post_steps=
                 f"burn_in {ula_burn_in} eats the whole budget of {total} iterations"
             )
     else:
-        ula_post_steps = int(ula_post_steps)
+        ula_post_steps = check_int("ula_post_steps", ula_post_steps)
         if ula_burn_in + ula_post_steps != total:
             raise ValueError(
                 f"budget mismatch: burn_in + post = {ula_burn_in + ula_post_steps} "
@@ -257,7 +262,7 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, ula_post_steps=
             "per_particle": total,
             "ula_burn_in": ula_burn_in,
             "ula_post_steps": ula_post_steps,
-            "ula_step_size": float(ula_step_size),
+            "ula_step_size": ula_step_size,
         },
         "config_digest": sfs_batch.config_digest,
         "sfs": score(sfs_batch.samples),

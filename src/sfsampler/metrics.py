@@ -17,7 +17,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from . import rng as _rng
-from .errors import UnsupportedTargetError
+from .errors import UnsupportedTargetError, check_int
 from .targets import sample_ground_truth
 
 ASSIGNMENT_MAX_POINTS = 512
@@ -86,9 +86,7 @@ def sliced_w2(x, y, n_projections=64, seed=0):
     y = _sample_2d(y)
     if x.shape != y.shape:
         raise ValueError(f"sample shapes must match, got {x.shape} and {y.shape}")
-    n_projections = int(n_projections)
-    if n_projections < 1:
-        raise ValueError("need at least one projection")
+    n_projections = check_int("n_projections", n_projections)
     p = x.shape[1]
     gen = _rng.substream(seed, _rng.ROLE_PROJECTION, 0)
     dirs = gen.standard_normal((n_projections, p))
@@ -279,9 +277,7 @@ def w2_noise_floor(target, n, seed, pairs=3, metric="w2_1d", n_projections=64):
         metric: "w2_1d" (one-dimensional targets) or "sliced".
         n_projections: directions for the sliced metric.
     """
-    pairs = int(pairs)
-    if pairs < 1:
-        raise ValueError("need at least one pair")
+    pairs = check_int("pairs", pairs)
     seeds = _rng.child_seeds(seed, 0, 2 * pairs)
     vals = []
     for i in range(pairs):

@@ -12,6 +12,8 @@ downstream rests on this rule.
 
 import numpy as np
 
+from .errors import check_int
+
 STREAM_POLICY = "philox-blocks-v1"
 
 # Role words keep independent uses of one seed on disjoint counter ranges.
@@ -31,10 +33,8 @@ MAX_SEED = (1 << 128) - 1
 
 def check_seed(seed):
     """Validate a root seed and return it as a plain int."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
-    seed = int(seed)
-    if seed < 0 or seed > MAX_SEED:
+    seed = check_int("seed", seed, minimum=0)
+    if seed > MAX_SEED:
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
     return seed
 
@@ -48,17 +48,18 @@ def substream(seed, role, step=0):
         step: step or iteration index within that role.
     """
     seed = check_seed(seed)
-    if not 0 <= int(role) <= _MASK64 or not 0 <= int(step) <= _MASK64:
+    words = [check_int("role", role, minimum=0), check_int("step", step, minimum=0)]
+    if max(words) > _MASK64:
         raise ValueError("role and step must be non-negative 64-bit integers")
     key = np.array([seed & _MASK64, seed >> 64], dtype=np.uint64)
-    counter = np.array([0, 0, int(role), int(step)], dtype=np.uint64)
+    counter = np.array([0, 0] + words, dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
 def normal_rows(seed, role, step, n_rows, row_shape=()):
     """Draw the first n_rows rows of a block, one row per particle index."""
     gen = substream(seed, role, step)
-    return gen.standard_normal((int(n_rows),) + tuple(row_shape))
+    return gen.standard_normal((check_int("n_rows", n_rows, minimum=0),) + tuple(row_shape))
 
 
 def normal_row(seed, role, step, row_index, row_shape=()):
@@ -68,9 +69,7 @@ def normal_row(seed, role, step, row_index, row_shape=()):
     row_index. Meant for direct drift calls and spot checks on grid-sized
     index ranges, not for hot loops.
     """
-    row_index = int(row_index)
-    if row_index < 0:
-        raise ValueError("row_index must be non-negative")
+    row_index = check_int("row_index", row_index, minimum=0)
     width = 1
     for d in row_shape:
         width *= int(d)
@@ -83,5 +82,5 @@ def normal_row(seed, role, step, row_index, row_shape=()):
 def child_seeds(seed, step, count):
     """Derive ``count`` child seeds from (seed, step), for nested runs."""
     gen = substream(seed, ROLE_DERIVE, step)
-    vals = gen.integers(0, 1 << 63, size=int(count), dtype=np.uint64)
+    vals = gen.integers(0, 1 << 63, size=check_int("count", count, minimum=0), dtype=np.uint64)
     return [int(v) for v in vals]

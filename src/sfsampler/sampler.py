@@ -26,8 +26,8 @@ import numpy as np
 from . import rng as _rng
 from .batches import SampleBatch, config_digest
 from .drift import _CHUNK_VALUES  # noqa: F401 - bench/replay.py chunks its replay by it
-from .drift import DRIFT_MODES, DriftEvaluator, _check_m
-from .errors import NonFiniteStateError, UnsupportedTargetError
+from .drift import DRIFT_MODES, DriftEvaluator
+from .errors import NonFiniteStateError, UnsupportedTargetError, check_int, check_real
 from .targets import describe, regularize
 
 DEFAULT_TRAJECTORY_BUDGET = 1 << 27  # float64 values, about 1 GiB
@@ -50,9 +50,8 @@ class EpsSchedule:
         if self.rule not in ("none", "fixed", "log", "power"):
             raise ValueError(f"unknown eps rule {self.rule!r}")
         if self.rule == "fixed":
-            v = self.value
-            if v is None or not (math.isfinite(v) and 0.0 < v < 1.0):
-                raise ValueError(f"fixed eps must lie in (0, 1), got {v!r}")
+            value = check_real("fixed eps", self.value, low=0.0, high=1.0)
+            object.__setattr__(self, "value", value)
         elif self.value is not None:
             raise ValueError(f"eps rule {self.rule!r} takes no value")
 
@@ -75,13 +74,13 @@ class EpsSchedule:
         if self.rule == "none":
             return 0.0
         if self.rule == "fixed":
-            return float(self.value)
+            return self.value
         if m is None:
             raise ValueError(
                 f"eps rule {self.rule!r} is driven by the Monte-Carlo batch size, "
                 "which the exact evaluator does not have"
             )
-        m = int(m)
+        m = check_int("m", m)
         if self.rule == "log":
             if m < 3:
                 raise ValueError("log rule needs m >= 3 to give eps < 1")
@@ -118,13 +117,11 @@ class SamplerConfig:
 
     def __post_init__(self):
         for name in ("steps", "particles"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
         if self.drift not in ("auto",) + DRIFT_MODES:
             raise ValueError(f"drift must be auto or one of {DRIFT_MODES}, got {self.drift!r}")
         if self.mc_size is not None:
-            object.__setattr__(self, "mc_size", _check_m(self.mc_size))
+            object.__setattr__(self, "mc_size", check_int("mc_size", self.mc_size))
         _rng.check_seed(self.seed)
 
     def describe(self):
@@ -165,9 +162,7 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
             f = 0 (propagates with particle and step context).
         NonFiniteStateError: a particle state left the finite range.
     """
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = check_int("workers", workers)
     ev = DriftEvaluator(target=target, mode=config.drift, m=config.mc_size, seed=config.seed)
     eps = config.eps.bind(ev.m)
     if eps > 0.0:
@@ -257,12 +252,8 @@ def ula_run(config, target, step_size, burn_in):
         raise UnsupportedTargetError(f"Langevin needs grad log f, {target.name!r} has none")
     if config.eps.rule != "none":
         raise ValueError("the eps schedule applies to the diffusion sampler, not Langevin")
-    step_size = float(step_size)
-    if not (math.isfinite(step_size) and step_size > 0.0):
-        raise ValueError(f"step_size must be positive, got {step_size!r}")
-    burn_in = int(burn_in)
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be non-negative, got {burn_in}")
+    step_size = check_real("step_size", step_size, low=0.0)
+    burn_in = check_int("burn_in", burn_in, minimum=0)
 
     n, p = config.particles, target.dim
     total = burn_in + config.steps

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rng as _rng
 from .batches import SampleBatch, config_digest
-from .errors import UnknownTargetError, UnsupportedTargetError
+from .errors import UnknownTargetError, UnsupportedTargetError, check_int, check_real
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _SOFTMAX_BLOCK = 1 << 15  # points per block of the mixture softmax
@@ -34,8 +34,11 @@ def _coerce(x, dim):
 
     Accepts (dim,) for one point, (n, dim) for a batch, and for
     one-dimensional targets also scalars and length-n vectors of scalars.
+    Every coordinate must be finite.
     """
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("evaluation points must be finite")
     if x.ndim == 0:
         if dim != 1:
             raise ValueError(f"scalar input for a {dim}-dimensional target")
@@ -53,11 +56,6 @@ def _coerce(x, dim):
     raise ValueError(f"input must be at most 2-dimensional, got shape {x.shape}")
 
 
-def _check_finite(x):
-    if not np.isfinite(x).all():
-        raise ValueError("evaluation points must be finite")
-
-
 @dataclass(frozen=True)
 class TargetRegularity:
     """Declared regularity constants for the density ratio f.
@@ -73,18 +71,15 @@ class TargetRegularity:
     zeta: float | None = None
 
     def __post_init__(self):
-        for name in ("gamma", "xi"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
-        if self.zeta is not None:
-            if not (math.isfinite(self.zeta) and self.zeta > 0):
-                raise ValueError(f"zeta must be a positive finite number, got {self.zeta!r}")
+        for name in ("gamma", "xi", "zeta"):
+            value = getattr(self, name)
+            if name != "zeta" or value is not None:
+                object.__setattr__(self, name, check_real(name, value, low=0.0))
 
     def describe(self):
-        out = {"gamma": float(self.gamma), "xi": float(self.xi)}
+        out = {"gamma": self.gamma, "xi": self.xi}
         if self.zeta is not None:
-            out["zeta"] = float(self.zeta)
+            out["zeta"] = self.zeta
         return out
 
 
@@ -236,10 +231,8 @@ class TargetSpec:
     target_cov: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.dim, int) and self.dim >= 1):
-            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
-        if not math.isfinite(self.log_scale):
-            raise ValueError("log_scale must be finite")
+        object.__setattr__(self, "dim", check_int("dim", self.dim))
+        object.__setattr__(self, "log_scale", check_real("log_scale", self.log_scale))
 
 
 def describe(target):
@@ -248,7 +241,7 @@ def describe(target):
         "name": target.name,
         "dim": target.dim,
         "relative": bool(target.relative),
-        "log_scale": float(target.log_scale),
+        "log_scale": target.log_scale,
         "params": target.params,
         "regularity": target.regularity.describe() if target.regularity else None,
     }
@@ -262,7 +255,6 @@ def eval_log_f(target, x):
     before treating it as absolute. Returns -inf where f vanishes.
     """
     pts, single = _coerce(x, target.dim)
-    _check_finite(pts)
     out = target.log_f(pts) + target.log_scale
     return float(out[0]) if single else out
 
@@ -272,7 +264,6 @@ def eval_grad_log_f(target, x):
     if target.grad_log_f is None:
         raise UnsupportedTargetError(f"target {target.name!r} has no gradient")
     pts, single = _coerce(x, target.dim)
-    _check_finite(pts)
     out = target.grad_log_f(pts)
     return np.asarray(out[0]) if single else out
 
@@ -291,9 +282,7 @@ def sample_ground_truth(target, n, seed):
     """
     if target.sampler is None:
         raise UnsupportedTargetError(f"target {target.name!r} has no ground-truth sampler")
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = check_int("n", n)
     seed = _rng.check_seed(seed)
     gen = _rng.substream(seed, _rng.ROLE_GROUND_TRUTH, 0)
     start = time.perf_counter()
@@ -330,14 +319,12 @@ def regularize(target, eps):
     Returns:
         A new TargetSpec for the law (1 - eps) mu + eps G.
     """
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps) and 0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie strictly inside (0, 1), got {eps!r}")
+    eps = check_real("eps", eps, low=0.0, high=1.0)
     if target.relative:
         raise UnsupportedTargetError(
             "cannot regularize a relative density ratio: f_eps = (1-eps) f + eps "
             "needs f on an absolute scale"
         )
-    eps = float(eps)
     name = f"{target.name}+eps"
     params = {"kind": "regularized", "eps": eps, "base": target.params}
 
@@ -433,7 +420,7 @@ def _mixture_spec(name, mix, params, regularity=None):
 
 def standard_gaussian(dim=1):
     """The base measure itself: f is identically one, the drift is zero."""
-    dim = int(dim)
+    dim = check_int("dim", dim)
     mix = GaussianMixture(np.ones(1), np.zeros((1, dim)))
     return _mixture_spec("standard", mix, {"kind": "standard", "dim": dim})
 
@@ -473,9 +460,7 @@ def quartic_bump(radius=3.0, regularity=None):
     lower bound that unregularized runs rely on; this is the motivating
     case for the epsilon schedules. Mean 0, variance a^2 / 7.
     """
-    a = float(radius)
-    if not (math.isfinite(a) and a > 0):
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    a = check_real("radius", radius, low=0.0)
     log_norm = math.log(15.0 / (16.0 * a))
 
     def log_f(pts):
@@ -547,11 +532,11 @@ def from_potential(potential, grad_potential, dim, name="potential", params=None
 
     return TargetSpec(
         name=name,
-        dim=int(dim),
+        dim=dim,
         log_f=log_f,
         grad_log_f=grad_log_f,
         relative=True,
-        log_scale=float(log_scale),
+        log_scale=log_scale,
         params=params if params is not None else {"kind": "potential", "name": name},
     )
 

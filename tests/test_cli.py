@@ -110,6 +110,15 @@ def test_missing_seed_is_exit_2(tmp_path, capsys):
     assert _json_out(capsys)["error"] == "ConfigError"
 
 
+def test_non_whole_count_in_plan_is_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, GOOD.replace("values = 4 8 16", "values = 4.5 8 16"))
+    out = os.path.join(tmp_path, "o")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 2
+    payload = _json_out(capsys)
+    assert payload["error"] == "ConfigError" and "4.5" in payload["message"]
+    assert not os.path.exists(out)
+
+
 def test_unknown_target_kind_is_exit_3(tmp_path, capsys):
     cfg = _write(tmp_path, "[target]\nkind = cauchy\n\n[run]\nseed = 1\n")
     assert main(["sample", "--config", cfg, "--out", os.path.join(tmp_path, "o")]) == 3

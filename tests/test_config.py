@@ -2,9 +2,19 @@
 
 import os
 
+import numpy as np
 import pytest
 
-from sfsampler import ConfigError, EpsSchedule, ExperimentPlan, SamplerConfig, UnknownTargetError
+from sfsampler import (
+    ConfigError,
+    EpsSchedule,
+    ExperimentPlan,
+    SamplerConfig,
+    UnknownTargetError,
+    from_potential,
+    quartic_bump,
+    regularize,
+)
 from sfsampler.config import (
     plan_from_config,
     read_ini,
@@ -184,6 +194,16 @@ def test_resolved_ini_bytes_are_pinned(tmp_path):
     write_resolved_ini(path, target, SamplerConfig(steps=4, particles=8, seed=0))
     with open(path, "rb") as fh:
         assert fh.read() == GOLDEN_MINIMAL.encode()
+
+
+def test_resolved_ini_refuses_targets_read_ini_cannot_rebuild(tmp_path):
+    potential = from_potential(lambda x: 0.5 * np.sum(x * x, axis=1), None, dim=1)
+    config = SamplerConfig(steps=4, particles=8, seed=0)
+    for target, kind in ((potential, "potential"), (regularize(quartic_bump(), 0.1), "regularized")):
+        path = os.path.join(tmp_path, f"{kind}.ini")
+        with pytest.raises(ValueError, match=f"kind '{kind}'"):
+            write_resolved_ini(path, target, config)
+        assert not os.path.exists(path)
 
 
 def test_unknown_target_kind(tmp_path):

@@ -51,6 +51,15 @@ def test_plan_validation():
     plan = _tiny_plan(replications=np.int64(4), workers=np.int64(2))
     assert (plan.replications, plan.workers) == (4, 2)
     assert type(plan.replications) is int and type(plan.workers) is int
+    # Count axes take whole values only, floats such as 8.0 included; the
+    # values are kept as given, for plan.json and cells.csv.
+    for axis in ("steps", "particles", "mc_size"):
+        with pytest.raises(ValueError, match="whole"):
+            _tiny_plan(axis=axis, values=(4.5, 8, 16))
+        assert _tiny_plan(axis=axis, values=(4.0, 8.0, 16.0)).values == (4.0, 8.0, 16.0)
+    with pytest.raises(ValueError):
+        _tiny_plan(values=(4, float("nan"), 16))
+    _tiny_plan(axis="eps", values=(0.1, 0.25, 0.5))
 
 
 def test_run_experiment_writes_artifacts(tmp_path):
@@ -96,6 +105,17 @@ def test_mc_size_axis_needs_an_mc_mode(tmp_path):
     summary = run_experiment(plan, os.path.join(tmp_path, "sweep"))
     assert summary["failures"] == {}
     assert len(summary["cells"]) == 3
+    # The closed-form drift ignores m, so such a sweep is refused up front.
+    for drift in ("exact", "auto"):
+        out = os.path.join(tmp_path, drift)
+        plan = _tiny_plan(
+            axis="mc_size",
+            values=(2, 4, 8),
+            base=SamplerConfig(steps=4, particles=32, seed=3, drift=drift),
+        )
+        with pytest.raises(ValueError, match="mc_size sweep"):
+            run_experiment(plan, out)
+        assert not os.path.exists(os.path.join(out, "plan.json"))
 
 
 def test_sliced_metric_on_a_2d_target(tmp_path):

@@ -117,7 +117,7 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(one.samples, many.samples)
 
 
-@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("workers", [0, -3, 1.5, True, "2"])
 def test_workers_below_one_are_rejected_before_any_thread_starts(workers):
     cfg = SamplerConfig(steps=2, particles=16, seed=13, drift="mc-grad", mc_size=4)
     before = set(threading.enumerate())
@@ -224,10 +224,11 @@ def test_config_validation():
         SamplerConfig(steps=10, particles=10, seed=0, drift="best")
     with pytest.raises(ValueError):
         SamplerConfig(steps=10, particles=10, seed=-1)
-    # Bools are not integers here, and mc_size takes the drift evaluator's
-    # rule: any positive integer, numpy integers included, stored as int.
+    # Counts take any positive integer, numpy integers included, stored as
+    # int; bools, floats and strings are rejected.
     for bad in (
         {"steps": True},
+        {"steps": 2.5},
         {"particles": True},
         {"mc_size": True},
         {"mc_size": 2.5},
@@ -236,7 +237,8 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             SamplerConfig(**{"steps": 10, "particles": 10, "seed": 0, **bad})
-    config = SamplerConfig(steps=10, particles=10, seed=0, mc_size=np.int64(8))
+    config = SamplerConfig(steps=np.int64(10), particles=10, seed=0, mc_size=np.int64(8))
+    assert config.steps == 10 and type(config.steps) is int
     assert config.mc_size == 8 and type(config.mc_size) is int
 
 
