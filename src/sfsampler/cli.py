@@ -36,6 +36,7 @@ from .errors import (
     NonFiniteStateError,
     UnknownTargetError,
     UnsupportedTargetError,
+    check_int,
 )
 from .harness import compare_samplers, run_experiment
 from .sampler import sfs_run
@@ -63,7 +64,7 @@ def build_parser():
         p.add_argument("--mc-size", type=int, default=None, help="override [run] mc_size")
         p.add_argument("--eps-rule", default=None, help="override [run] eps_rule")
         p.add_argument("--drift", default=None, help="override [run] drift mode")
-        p.add_argument("--workers", type=int, default=1, help="drift evaluation threads")
+        p.add_argument("--workers", type=int, default=1, help="drift evaluation threads (>= 1)")
 
     p_sample = sub.add_parser("sample", help="run the sampler and write a batch")
     add_common(p_sample, need_out=True)
@@ -97,9 +98,10 @@ def build_parser():
 def _load(args):
     """Read the run file: its sections, the target, and the sampler config.
 
-    Every [run] key whose flag was given on the command line overrides
-    the file's value.
+    Every subcommand starts here, so --workers below 1 exits 4 before any
+    work. Each [run] key whose flag was given overrides the file's value.
     """
+    check_int("workers", args.workers)
     sections = read_ini(args.config)
     target = target_from_config(sections)
     overrides = {key: getattr(args, key, None) for key in RUN_KEYS}
@@ -131,8 +133,8 @@ def _cmd_sample(args):
     return EXIT_OK
 
 
-def _mc_evaluator(target, config):
-    """Monte-Carlo evaluator for the check commands.
+def _mc_evaluator(target, config, workers):
+    """Monte-Carlo evaluator for the check commands, on ``workers`` threads.
 
     "auto" and "exact" fall back to the target's Monte-Carlo mode (the
     gradient form when there is a gradient), and m defaults to 64.
@@ -141,7 +143,7 @@ def _mc_evaluator(target, config):
     if mode in ("auto", "exact"):
         mode = "mc-grad" if target.grad_log_f is not None else "mc-stein"
     m = config.mc_size if config.mc_size is not None else 64
-    return DriftEvaluator(target=target, mode=mode, m=m, seed=config.seed)
+    return DriftEvaluator(target=target, mode=mode, m=m, seed=config.seed, workers=workers)
 
 
 def _cmd_drift_check(args):
@@ -151,7 +153,7 @@ def _cmd_drift_check(args):
             f"drift-check needs the closed form, so a mixture target; "
             f"{target.name!r} has none"
         )
-    ev = _mc_evaluator(target, config)
+    ev = _mc_evaluator(target, config, args.workers)
     grid = ProbeGrid()
     pts = probe_points(grid, target.dim, seed=config.seed)
     cells = []
@@ -181,9 +183,7 @@ def _cmd_drift_check(args):
 
 def _cmd_sweep(args):
     sections, target, base = _load(args)
-    plan = plan_from_config(sections, base)
-    if args.workers != 1:
-        plan = dataclasses.replace(plan, workers=args.workers)
+    plan = dataclasses.replace(plan_from_config(sections, base), workers=args.workers)
     summary = run_experiment(plan, args.out)
     write_resolved_ini(os.path.join(args.out, "resolved.ini"), target, base, plan=plan)
     _emit(
@@ -218,7 +218,7 @@ def _cmd_compare(args):
 
 def _cmd_regularity(args):
     _, target, config = _load(args)
-    evaluator = None if target.mixture is not None else _mc_evaluator(target, config)
+    evaluator = None if target.mixture is not None else _mc_evaluator(target, config, args.workers)
     estimate = estimate_regularity(target, seed=config.seed, evaluator=evaluator)
     report = {"command": "regularity", "estimate": estimate.describe(), "target": target.name}
     if target.regularity is not None:

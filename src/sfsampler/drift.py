@@ -23,11 +23,12 @@ softmax-weighted average of the component means and needs no sampling.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import rng as _rng
 from .errors import DriftSingularityError, UnsupportedTargetError, check_int, check_real
@@ -48,7 +49,7 @@ _CHUNK_VALUES = 1 << 22  # Z values generated per chunk in MC drift
 
 @dataclass(frozen=True)
 class DriftEvaluator:
-    """Bundle of target, estimator choice, batch size, and root seed.
+    """Bundle of target, estimator choice, batch size, root seed and threads.
 
     The one place a drift mode is resolved and checked: "auto" becomes
     ``default_drift_mode(target)``, the exact mode needs a mixture and
@@ -57,14 +58,17 @@ class DriftEvaluator:
     the batch used for (step_index, particle_index) is row particle_index
     of the block drawn from the (seed, drift, step_index) substream, which
     is exactly the batch a sampler run with the same seed would use there.
+    ``workers`` is the number of threads ``batch`` splits the rows across.
     """
 
     target: object
     mode: str
     m: int | None = None
     seed: int = 0
+    workers: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "workers", check_int("workers", self.workers))
         mode = default_drift_mode(self.target) if self.mode == "auto" else self.mode
         if mode not in DRIFT_MODES:
             raise ValueError(f"mode must be auto or one of {DRIFT_MODES}, got {mode!r}")
@@ -84,15 +88,15 @@ class DriftEvaluator:
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "m", m)
 
-    def batch(self, points, t, step_index, pool=None, workers=1):
+    def batch(self, points, t, step_index):
         """Drift at every row of ``points`` (n, p) at time t, as an (n, p) array.
 
         The exact mode is the closed form and ignores the rest. Row i of a
         Monte-Carlo estimate uses the probes of particle i at step
         ``step_index``, the same bytes a direct call with that particle
-        index gives. Probes are drawn serially in chunks; a pool with
-        ``workers`` threads splits each chunk's rows, which never changes
-        the result.
+        index gives. Probes are drawn serially in chunks. With ``workers``
+        above 1 a pool splits each chunk's rows, which never changes the
+        result; its threads are joined before the call returns or raises.
         """
         if self.mode == "exact":
             return drift_exact(self.target, points, t)
@@ -101,27 +105,29 @@ class DriftEvaluator:
         gen = _rng.substream(self.seed, _rng.ROLE_DRIFT, step_index)
         out = np.empty((n, p))
         chunk = max(1, _CHUNK_VALUES // (self.m * p))
-        for start in range(0, n, chunk):
-            stop = min(n, start + chunk)
-            rows = stop - start
-            z = gen.standard_normal((rows, self.m, p))
-            if pool is None or rows < 2 * workers:
-                out[start:stop] = _mc_drift_core(
-                    self.target, points[start:stop], t, z, self.mode,
-                    step_index=step_index, particle_offset=start,
-                )
-                continue
-            bounds = np.linspace(0, rows, workers + 1).astype(int)
-            futures = [
-                (lo, hi, pool.submit(
-                    _mc_drift_core, self.target, points[start + lo:start + hi], t, z[lo:hi],
-                    self.mode, step_index=step_index, particle_offset=start + lo,
-                ))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if lo < hi
-            ]
-            for lo, hi, fut in futures:
-                out[start + lo:start + hi] = fut.result()
+        workers = self.workers
+        with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+            for start in range(0, n, chunk):
+                stop = min(n, start + chunk)
+                rows = stop - start
+                z = gen.standard_normal((rows, self.m, p))
+                if pool is None or rows < 2 * workers:
+                    out[start:stop] = _mc_drift_core(
+                        self.target, points[start:stop], t, z, self.mode,
+                        step_index=step_index, particle_offset=start,
+                    )
+                    continue
+                bounds = np.linspace(0, rows, workers + 1).astype(int)
+                futures = [
+                    (lo, hi, pool.submit(
+                        _mc_drift_core, self.target, points[start + lo:start + hi], t, z[lo:hi],
+                        self.mode, step_index=step_index, particle_offset=start + lo,
+                    ))
+                    for lo, hi in zip(bounds[:-1], bounds[1:])
+                    if lo < hi
+                ]
+                for lo, hi, fut in futures:
+                    out[start + lo:start + hi] = fut.result()
         return out
 
 
@@ -153,7 +159,8 @@ def heat_semigroup_mc(target, x, t, m, seed):
     z = _rng.substream(seed, _rng.ROLE_SEMIGROUP, 0).standard_normal((m, target.dim))
     probe = pts + math.sqrt(t) * z
     lf = target.log_f(probe) + target.log_scale
-    return float(np.exp(logsumexp(lf) - math.log(m)))
+    mx = lf.max()  # the shift keeps exp from overflowing; all f = 0 gives 0
+    return 0.0 if np.isneginf(mx) else float(np.exp(mx) * np.mean(np.exp(lf - mx)))
 
 
 def drift_exact(target, x, t):

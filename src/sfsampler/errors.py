@@ -3,12 +3,15 @@
 import math
 import numbers
 
+import numpy as np
+
 
 def check_int(name, value, minimum=1):
     """Return value as an int: any integer, numpy's included, but a bool.
 
     Raises ValueError for a bool, a float, a string, or a value below minimum.
     """
+    value = value.item() if isinstance(value, np.generic) else value  # plain in messages
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         kind = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
@@ -20,6 +23,7 @@ def check_real(name, value, low=None, high=None):
 
     A bound given as None is left open. Raises ValueError otherwise.
     """
+    value = value.item() if isinstance(value, np.generic) else value  # plain in messages
     low = -math.inf if low is None else low
     high = math.inf if high is None else high
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not low < value < high:

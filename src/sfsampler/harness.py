@@ -22,14 +22,13 @@ from scipy.spatial.distance import cdist
 
 from . import rng as _rng
 from .batches import config_digest, rate_table_csv, save_batch, write_json
-from .metrics import exact_w2_assignment, fit_rate, sliced_w2, wasserstein2_1d
+from .metrics import W2_METRICS, fit_rate, w2_score
 from .drift import DriftEvaluator, default_drift_mode
 from .errors import check_int, check_real
 from .sampler import EpsSchedule, SamplerConfig, sfs_run, ula_run
 from .targets import build_target, sample_ground_truth
 
 SWEEP_AXES = ("steps", "particles", "mc_size", "eps")
-PLAN_METRICS = ("w2_1d", "sliced", "assignment")
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class ExperimentPlan:
         axis: one of "steps", "particles", "mc_size", "eps".
         values: at least three axis values.
         replications: independent runs per cell, at least three.
-        metric: "w2_1d", "sliced", or "assignment".
+        metric: "w2_1d", "sliced", or "assignment" (metrics.W2_METRICS).
         workers: drift-evaluation threads passed through to the runs.
     """
 
@@ -65,11 +64,11 @@ class ExperimentPlan:
             raise ValueError(f"a sweep needs at least 3 axis values, got {len(self.values)}")
         # A count axis takes whole values only; one below 1 fails its own cell.
         for value in self.values:
-            whole = check_real(f"{self.axis} value", value).is_integer()
-            if not whole and self.axis != "eps":
+            value = check_real(f"{self.axis} value", value)
+            if not value.is_integer() and self.axis != "eps":
                 raise ValueError(f"{self.axis} values must be whole numbers, got {value!r}")
-        if self.metric not in PLAN_METRICS:
-            raise ValueError(f"metric must be one of {PLAN_METRICS}, got {self.metric!r}")
+        if self.metric not in W2_METRICS:
+            raise ValueError(f"metric must be one of {W2_METRICS}, got {self.metric!r}")
 
     def describe(self):
         return {
@@ -91,14 +90,6 @@ def _cell_config(base, axis, value):
     if axis == "mc_size":
         return dataclasses.replace(base, mc_size=int(value))
     return dataclasses.replace(base, eps=EpsSchedule(rule="fixed", value=float(value)))
-
-
-def _score(metric, a, b, seed):
-    if metric == "w2_1d":
-        return wasserstein2_1d(a, b)
-    if metric == "sliced":
-        return sliced_w2(a, b, seed=seed).value
-    return exact_w2_assignment(a, b)
 
 
 def run_experiment(plan, out_dir):
@@ -134,10 +125,10 @@ def run_experiment(plan, out_dir):
                 run_cfg = dataclasses.replace(cfg, seed=seeds[2 * r])
                 batch = sfs_run(run_cfg, target, workers=plan.workers)
                 truth = sample_ground_truth(target, cfg.particles, seeds[2 * r + 1])
-                scores.append(_score(plan.metric, batch.samples, truth.samples, seeds[2 * r + 1]))
+                scores.append(w2_score(plan.metric, batch.samples, truth.samples, seeds[2 * r + 1]))
             floor_a = sample_ground_truth(target, cfg.particles, seeds[-2]).samples
             floor_b = sample_ground_truth(target, cfg.particles, seeds[-1]).samples
-            floor = _score(plan.metric, floor_a, floor_b, seeds[-1])
+            floor = w2_score(plan.metric, floor_a, floor_b, seeds[-1])
             scores = np.asarray(scores)
             cells.append(
                 {
@@ -251,7 +242,7 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, ula_post_steps=
     metric = "w2_1d" if target.dim == 1 else "sliced"
 
     def score(samples):
-        entry = {"w2": _score(metric, samples, truth, gt_seed), "metric": metric}
+        entry = {"w2": w2_score(metric, samples, truth, gt_seed), "metric": metric}
         if target.mixture is not None:
             entry["mode_mass"] = mode_mass_balance(samples, target.mixture)
         return entry

@@ -21,15 +21,14 @@ from .errors import UnsupportedTargetError, check_int
 from .targets import sample_ground_truth
 
 ASSIGNMENT_MAX_POINTS = 512
+W2_METRICS = ("w2_1d", "sliced", "assignment")
 
 
 def _sample_1d(x):
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size == 0:
-        raise ValueError("samples must be non-empty")
-    if not np.isfinite(x).all():
-        raise ValueError("samples must be finite")
-    return x
+    x = _sample_2d(x)
+    if x.shape[1] != 1:
+        raise ValueError(f"a 1-D sample has shape (n,) or (n, 1), got {x.shape}")
+    return x[:, 0]
 
 
 def _sample_2d(x):
@@ -263,7 +262,18 @@ def fit_rate(xs, ys):
     return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2, n_points=xs.size)
 
 
-def w2_noise_floor(target, n, seed, pairs=3, metric="w2_1d", n_projections=64):
+def w2_score(metric, x, y, seed):
+    """W2 between equal-size samples by a metric in W2_METRICS; seed drives "sliced"."""
+    if metric == "w2_1d":
+        return wasserstein2_1d(x, y)
+    if metric == "sliced":
+        return sliced_w2(x, y, seed=seed).value
+    if metric == "assignment":
+        return exact_w2_assignment(x, y)
+    raise ValueError(f"metric must be one of {W2_METRICS}, got {metric!r}")
+
+
+def w2_noise_floor(target, n, seed, pairs=3, metric="w2_1d"):
     """Typical W2 between two independent same-size ground-truth batches.
 
     Thresholds for "close to the target" are set as multiples of this
@@ -274,8 +284,7 @@ def w2_noise_floor(target, n, seed, pairs=3, metric="w2_1d", n_projections=64):
         n: batch size the floor should refer to.
         seed: root seed for the batch draws.
         pairs: number of independent batch pairs averaged.
-        metric: "w2_1d" (one-dimensional targets) or "sliced".
-        n_projections: directions for the sliced metric.
+        metric: one of W2_METRICS, as in ``w2_score``.
     """
     pairs = check_int("pairs", pairs)
     seeds = _rng.child_seeds(seed, 0, 2 * pairs)
@@ -283,12 +292,5 @@ def w2_noise_floor(target, n, seed, pairs=3, metric="w2_1d", n_projections=64):
     for i in range(pairs):
         a = sample_ground_truth(target, n, seeds[2 * i]).samples
         b = sample_ground_truth(target, n, seeds[2 * i + 1]).samples
-        if metric == "w2_1d":
-            if target.dim != 1:
-                raise ValueError("w2_1d floor needs a one-dimensional target")
-            vals.append(wasserstein2_1d(a, b))
-        elif metric == "sliced":
-            vals.append(sliced_w2(a, b, n_projections=n_projections, seed=seeds[2 * i]).value)
-        else:
-            raise ValueError(f"unknown metric {metric!r}")
+        vals.append(w2_score(metric, a, b, seeds[2 * i]))
     return float(np.mean(vals))

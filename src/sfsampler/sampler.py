@@ -5,9 +5,9 @@ s = 1/K, evaluating the drift at the left endpoint t_k = k/K (never at
 t = 1) and adding sqrt(s) Gaussian increments. Increments for step k are
 the rows of one block from the (seed, increment, k) substream; a
 Monte-Carlo drift batch for particle i at step k is row i of the
-(seed, drift, k) block. Worker threads only split the drift evaluation
-across particles, never the draws, so results are byte-identical for any
-worker count.
+(seed, drift, k) block. The drift evaluator owns the worker threads, which
+only split its evaluation across particles, never the draws, so results
+are byte-identical for any worker count.
 
 Also provides an unadjusted Langevin baseline over the same targets for
 budget-matched comparisons.
@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,9 +147,9 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
         config: SamplerConfig; the eps schedule is bound here, and a
             positive eps swaps the run target for its regularized form.
         target: TargetSpec to sample from.
-        workers: drift-evaluation threads, at least 1. Any value yields
-            byte-identical results; more threads only speed up Monte-Carlo
-            drift.
+        workers: drift-evaluation threads, at least 1, which the run's
+            DriftEvaluator checks and owns. Any value yields byte-identical
+            results; more threads only speed up Monte-Carlo drift.
         trajectory_budget: cap on recorded path values (float64 count).
 
     Returns:
@@ -162,8 +161,7 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
             f = 0 (propagates with particle and step context).
         NonFiniteStateError: a particle state left the finite range.
     """
-    workers = check_int("workers", workers)
-    ev = DriftEvaluator(target=target, mode=config.drift, m=config.mc_size, seed=config.seed)
+    ev = DriftEvaluator(target, config.drift, m=config.mc_size, seed=config.seed, workers=workers)
     eps = config.eps.bind(ev.m)
     if eps > 0.0:
         ev = dataclasses.replace(ev, target=regularize(target, eps))
@@ -194,25 +192,20 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
     y = np.zeros((n, p))
     s = 1.0 / k_steps
     root_s = math.sqrt(s)
-    pool = ThreadPoolExecutor(max_workers=workers) if (workers > 1 and ev.mode != "exact") else None
-    try:
-        for k in range(k_steps):
-            b = ev.batch(y, k / k_steps, k, pool, workers)
-            inc = _rng.substream(config.seed, _rng.ROLE_INCREMENT, k).standard_normal((n, p))
-            y += s * b
-            y += root_s * inc
-            if not np.isfinite(y).all():
-                bad = _first_bad_particle(y)
-                raise NonFiniteStateError(
-                    f"particle {bad} became non-finite after step {k}",
-                    particle_index=bad,
-                    step_index=k,
-                )
-            if trajectories is not None:
-                trajectories[:, k + 1] = y
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+    for k in range(k_steps):
+        b = ev.batch(y, k / k_steps, k)
+        inc = _rng.substream(config.seed, _rng.ROLE_INCREMENT, k).standard_normal((n, p))
+        y += s * b
+        y += root_s * inc
+        if not np.isfinite(y).all():
+            bad = _first_bad_particle(y)
+            raise NonFiniteStateError(
+                f"particle {bad} became non-finite after step {k}",
+                particle_index=bad,
+                step_index=k,
+            )
+        if trajectories is not None:
+            trajectories[:, k + 1] = y
 
     return SampleBatch(
         samples=y,

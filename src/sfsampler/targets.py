@@ -110,8 +110,9 @@ class GaussianMixture:
             raise ValueError("mixture parameters must be finite")
         if (weights <= 0).any():
             raise ValueError("mixture weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights must sum to 1 within 1e-12, got {weights.sum()!r}")
+        total = float(weights.sum())
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"mixture weights must sum to 1 within 1e-12, got {total!r}")
         self.weights = weights
         self.means = means
         self._log_w = np.log(weights)

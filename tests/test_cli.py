@@ -148,14 +148,57 @@ def test_validation_failures_are_exit_4(tmp_path, capsys):
         assert f"['{key}']" in payload["message"]
 
 
+POTENTIAL = """[target]
+kind = gaussian-potential
+mean = 1.5
+
+[run]
+seed = 3
+drift = mc-grad
+mc_size = 16
+"""
+
+
 def test_workers_below_one_are_exit_4(tmp_path, capsys):
     cfg = _write(tmp_path, GOOD)
+    potential = _write(tmp_path, POTENTIAL, name="potential.ini")
     out = os.path.join(tmp_path, "o")
     assert main(["sample", "--config", cfg, "--out", out, "--workers", "-3"]) == 4
     assert _json_out(capsys)["error"] == "ValueError"
     assert not os.path.exists(os.path.join(out, "samples.csv"))
-    assert main(["sweep", "--config", cfg, "--out", out, "--workers", "0"]) == 4
-    assert _json_out(capsys)["error"] == "ValueError"
+    for argv in (
+        ["sweep", "--config", cfg, "--out", out, "--workers", "0"],
+        ["compare", "--config", cfg, "--out", out, "--workers", "0"],
+        ["drift-check", "--config", cfg, "--out", out, "--workers", "0"],
+        ["drift-check", "--config", cfg, "--workers", "-3"],
+        ["regularity", "--config", cfg, "--out", out, "--workers", "0"],
+        ["regularity", "--config", potential, "--out", out, "--workers", "0"],
+    ):
+        assert main(argv) == 4, argv
+        payload = _json_out(capsys)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith("workers must be a positive integer")
+        assert not os.path.exists(out), argv
+
+
+@pytest.mark.parametrize("command, text", [
+    ("drift-check", GOOD),
+    ("regularity", GOOD),
+    ("regularity", POTENTIAL),
+], ids=["drift-check", "regularity-mixture", "regularity-potential"])
+def test_check_commands_print_the_same_bytes_on_two_threads(tmp_path, capsys, command, text):
+    cfg = _write(tmp_path, text)
+    stdout = []
+    for workers in ("1", "2"):
+        assert main([command, "--config", cfg, "--workers", workers]) == 0
+        stdout.append(capsys.readouterr().out)
+    assert stdout[0] == stdout[1]
+
+
+def test_mixture_weights_message_shows_a_plain_number(tmp_path, capsys):
+    cfg = _write(tmp_path, GOOD.replace("weights = 0.5 0.5", "weights = 0.5 0.6"))
+    assert main(["sample", "--config", cfg, "--out", os.path.join(tmp_path, "o")]) == 4
+    assert _json_out(capsys)["message"].endswith("got 1.1")
 
 
 def test_singularity_is_exit_5_with_context(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Drift: closed form against quadrature, Monte-Carlo exactness properties,
 scale invariance, singularity reporting, and regularity probes."""
 
+import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from unittest import mock
 
 import numpy as np
@@ -229,9 +230,10 @@ def drift_cases(draw):
     chunk_values=400, softmax_block=1 << 15, workers=1,
 ))
 def test_batch_rows_equal_point_calls_bit_for_bit(case):
-    ev = DriftEvaluator(target=case["target"], mode=case["mode"], m=case["m"], seed=case["seed"])
+    ev = DriftEvaluator(target=case["target"], mode=case["mode"], m=case["m"], seed=case["seed"],
+                        workers=case["workers"])
     point = drift_mc_grad if ev.mode == "mc-grad" else drift_mc_stein
-    pts, t, k, workers = case["pts"], case["t"], case["k"], case["workers"]
+    pts, t, k = case["pts"], case["t"], case["k"]
     rows, dead = [], None
     for i, x in enumerate(pts):
         try:
@@ -239,14 +241,13 @@ def test_batch_rows_equal_point_calls_bit_for_bit(case):
         except DriftSingularityError:
             dead = i if dead is None else dead
     with mock.patch.object(_drift, "_CHUNK_VALUES", case["chunk_values"]), \
-            mock.patch.object(_targets, "_SOFTMAX_BLOCK", case["softmax_block"]), \
-            ThreadPoolExecutor(max_workers=workers) as pool:
+            mock.patch.object(_targets, "_SOFTMAX_BLOCK", case["softmax_block"]):
         if dead is not None:
             with pytest.raises(DriftSingularityError) as err:
-                ev.batch(pts, t, k, pool, workers)
+                ev.batch(pts, t, k)
             assert err.value.particle_index == dead
             return
-        got = ev.batch(pts, t, k, pool, workers)
+        got = ev.batch(pts, t, k)
     assert got.shape == pts.shape
     assert np.array_equal(got, np.vstack(rows))
 
@@ -278,6 +279,24 @@ def test_all_probes_outside_support_is_a_reported_singularity():
     assert err.value.step_index == 0
     assert err.value.particle_index == 0
     assert err.value.t == 0.0
+
+
+def test_no_thread_outlives_a_failed_threaded_batch():
+    tiny = quartic_bump(0.05)
+    callers = set()
+
+    def log_f(x):
+        callers.add(threading.get_ident())
+        return tiny.log_f(x)
+
+    ev = DriftEvaluator(dataclasses.replace(tiny, log_f=log_f), "mc-grad", m=16, seed=5, workers=2)
+    before = set(threading.enumerate())
+    with pytest.raises(DriftSingularityError) as err:
+        ev.batch(np.full((8, 1), 3.0), 0.0, 0)
+    assert err.value.particle_index == 0
+    # The rows ran on pool threads, and every one of them was joined.
+    assert callers and threading.get_ident() not in callers
+    assert set(threading.enumerate()) == before
 
 
 def test_probe_points_shapes():

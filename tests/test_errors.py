@@ -52,6 +52,7 @@ BAD = {
     "compare_samplers burn_in": (lambda v: compare_samplers(MIX, CFG, 0.1, v), 1.5),
     "sliced_w2 n_projections": (lambda v: sliced_w2(PTS, PTS, n_projections=v), 2.5),
     "w2_noise_floor pairs": (lambda v: w2_noise_floor(MIX, 16, 0, pairs=v), 1.5),
+    "DriftEvaluator workers": (lambda v: DriftEvaluator(MIX, "mc-grad", m=4, workers=v), 0),
     "ProbeGrid points_per_axis": (lambda v: ProbeGrid(points_per_axis=v), 2.5),
     "drift_mc_grad step_index": (
         lambda v: drift_mc_grad(DriftEvaluator(MIX, "mc-grad", m=4), 0.5, 0.5, step_index=v),
@@ -92,3 +93,20 @@ def test_the_two_rules():
     for bad in (True, math.nan, math.inf, -math.inf, "0.5", None, 0.0, 1.0):
         with pytest.raises(ValueError, match="x must be a finite real number"):
             check_real("x", bad, low=0.0, high=1.0)
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: check_int("n", np.int64(0)), "got 0"),
+        (lambda: check_real("x", np.float64(1.5), high=1.0), "got 1.5"),
+        (lambda: check_real("x", np.float32(np.nan)), "got nan"),
+        (lambda: check_int("n", "3"), "got '3'"),
+        (lambda: gaussian_mixture_target([0.5, 0.6], [[1.0], [-1.0]]), "got 1.1"),
+    ],
+    ids=["numpy int", "numpy float", "numpy nan", "string", "mixture weights"],
+)
+def test_messages_show_numbers_as_plain_values(call, shown):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value).endswith(shown)

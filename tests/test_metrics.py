@@ -15,6 +15,7 @@ from sfsampler import (
     w2_noise_floor,
     wasserstein2_1d,
 )
+from sfsampler.metrics import W2_METRICS, w2_score
 
 MIX = gaussian_mixture_target([0.5, 0.5], [[2.0], [-2.0]])
 
@@ -157,3 +158,24 @@ def test_noise_floor_is_positive_and_deterministic():
     assert a > 0.0
     # More points resolve finer differences: the floor shrinks with n.
     assert w2_noise_floor(MIX, 4096, 41) < a
+
+
+def test_w2_1d_takes_one_column_and_never_flattens():
+    x = np.arange(5.0)
+    assert wasserstein2_1d(x, x[:, None] + 1.0) == 1.0
+    for bad in (np.ones((5, 2)), np.ones((5, 1, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError):
+            wasserstein2_1d(bad, np.zeros_like(bad))
+    with pytest.raises(ValueError, match="1-D sample"):
+        w2_noise_floor(gaussian([0.0, 0.0]), 16, 0, metric="w2_1d")
+
+
+def test_w2_score_names_every_metric():
+    gen = np.random.default_rng(5)
+    x, y = gen.normal(size=(32, 1)), gen.normal(size=(32, 1))
+    assert W2_METRICS == ("w2_1d", "sliced", "assignment")
+    assert w2_score("w2_1d", x, y, 3) == wasserstein2_1d(x, y)
+    assert w2_score("sliced", x, y, 3) == sliced_w2(x, y, seed=3).value
+    assert w2_score("assignment", x, y, 3) == exact_w2_assignment(x, y)
+    with pytest.raises(ValueError, match="metric must be one of"):
+        w2_score("w1", x, y, 3)
