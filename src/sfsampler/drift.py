@@ -11,10 +11,10 @@ standard normal draws Z_j, writing x_j = x + sqrt(1-t) Z_j:
 where u_j = exp(log f(x_j) - max_k log f(x_k)) are softmax-style weights.
 Weights depend only on differences of log f, so a constant scale on f
 drops out exactly, not merely up to rounding; this is why TargetSpec keeps
-its ``log_scale`` out of the ``log_f`` callable. Numerator and denominator
-are accumulated in one einsum over an extended matrix whose last channel
-is all ones, so both reductions share one summation order and ratios that
-are constant across the batch come out exact.
+its ``log_scale`` out of the ``log_f`` callable. The products u_j g_j (or
+u_j Z_j) and the weights u_j are summed along the m probes in one call, so
+numerator and denominator share one summation order, constant ratios come
+out exact, and no particle's sum depends on the tile it is evaluated in.
 
 For Gaussian mixtures the semigroup acts in closed form: smoothing only
 rescales each component's correction term, so the drift is the
@@ -44,7 +44,8 @@ def default_drift_mode(target):
     return "mc-grad" if target.grad_log_f is not None else "mc-stein"
 
 
-_CHUNK_VALUES = 1 << 22  # Z values generated per chunk in MC drift
+_CHUNK_VALUES = 1 << 14  # values in a drift tile's (particles, p + 1, m) channel buffer
+_TASK_TILES = 64  # most tiles per pool task; a task per tile lost more to hand-offs than it saved
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,11 @@ class DriftEvaluator:
         The exact mode is the closed form and ignores the rest. Row i of a
         Monte-Carlo estimate uses the probes of particle i at step
         ``step_index``, the same bytes a direct call with that particle
-        index gives. Probes are drawn serially in chunks. With ``workers``
-        above 1 a pool splits each chunk's rows, which never changes the
-        result; its threads are joined before the call returns or raises.
+        index gives. Rows run in cache-sized tiles whose probes the calling
+        thread draws in order. With ``workers`` above 1, pool tasks take spans
+        of whole tiles, at most 2 * workers in flight; results are taken in
+        order, so the first failing particle is the one raised, and the
+        threads are joined before the call returns or raises.
         """
         if self.mode == "exact":
             return drift_exact(self.target, points, t)
@@ -104,30 +107,30 @@ class DriftEvaluator:
         n, p = points.shape
         gen = _rng.substream(self.seed, _rng.ROLE_DRIFT, step_index)
         out = np.empty((n, p))
-        chunk = max(1, _CHUNK_VALUES // (self.m * p))
         workers = self.workers
+        tile = max(1, _CHUNK_VALUES // (self.m * (p + 1)))
+        span = tile if workers == 1 else min(-(-n // workers), _TASK_TILES * tile)
+
+        def run(start, z):
+            for lo in range(start, start + len(z), tile):
+                hi = min(lo + tile, start + len(z))
+                out[lo:hi] = _mc_drift_core(
+                    self.target, points[lo:hi], t, z[lo - start:hi - start], self.mode,
+                    step_index=step_index, particle_offset=lo,
+                )
+
         with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-            for start in range(0, n, chunk):
-                stop = min(n, start + chunk)
-                rows = stop - start
-                z = gen.standard_normal((rows, self.m, p))
-                if pool is None or rows < 2 * workers:
-                    out[start:stop] = _mc_drift_core(
-                        self.target, points[start:stop], t, z, self.mode,
-                        step_index=step_index, particle_offset=start,
-                    )
+            pending = []
+            for start in range(0, n, span):
+                z = gen.standard_normal((min(span, n - start), self.m, p))
+                if pool is None:
+                    run(start, z)
                     continue
-                bounds = np.linspace(0, rows, workers + 1).astype(int)
-                futures = [
-                    (lo, hi, pool.submit(
-                        _mc_drift_core, self.target, points[start + lo:start + hi], t, z[lo:hi],
-                        self.mode, step_index=step_index, particle_offset=start + lo,
-                    ))
-                    for lo, hi in zip(bounds[:-1], bounds[1:])
-                    if lo < hi
-                ]
-                for lo, hi, fut in futures:
-                    out[start + lo:start + hi] = fut.result()
+                if len(pending) == 2 * workers:
+                    pending.pop(0).result()
+                pending.append(pool.submit(run, start, z))
+            for fut in pending:
+                fut.result()
         return out
 
 
@@ -191,17 +194,20 @@ def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset):
             row i of ``points`` is particle ``particle_offset + i``.
 
     Returns:
-        (n, p) drift estimates.
+        (n, p) drift estimates. Raises UnsupportedTargetError when log f
+        does not return shape (n * m,) or grad log f (n * m, p).
     """
     n, m, p = z.shape
     root = math.sqrt(1.0 - t)
-    probes = root * z
-    probes += points[:, None, :]
+    # Every elementwise pass runs along m; an inner loop of length p is slow.
+    probes = z * root
+    for j in range(p):
+        probes[:, :, j] += points[:, j, None]
     probes = probes.reshape(n * m, p)
-    lf = target.log_f(probes).reshape(n, m)
-    if np.isnan(lf).any():
-        raise ValueError("target log density returned NaN at a drift probe")
+    lf = _returned(target, "log_f", target.log_f(probes), (n * m,)).reshape(n, m)
     mx = lf.max(axis=1)
+    if np.isnan(mx).any():  # max propagates NaN
+        raise ValueError("target log density returned NaN at a drift probe")
     dead = np.isneginf(mx)
     if dead.any():
         i = int(np.argmax(dead))
@@ -213,22 +219,31 @@ def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset):
             step_index=step_index,
             particle_index=particle_offset + i,
         )
-    u = np.exp(lf - mx[:, None])
-    vec = target.grad_log_f(probes).reshape(n, m, p) if mode == "mc-grad" else z
-    # One reduction for numerator and denominator: the ones channel makes
-    # both sums share a summation tree, so constant ratios are exact. The
-    # buffer is taken after grad log f returns, so its temporaries are gone.
-    ext = np.empty((n, m, p + 1))
-    ext[:, :, :p] = vec
-    ext[:, :, p] = 1.0
-    if mode == "mc-grad":
-        ext[np.isneginf(lf), :p] = 0.0
-    acc = np.einsum("nm,nmq->nq", u, ext)
-    den = acc[:, p]
-    b = acc[:, :p] / den[:, None]
+    vec = z if mode == "mc-stein" else _returned(
+        target, "grad_log_f", target.grad_log_f(probes), (n * m, p)).reshape(n, m, p)
+    # Channels u * vec_j and u, each contiguous along m, summed in one call:
+    # all share numpy's pairwise tree, and each row is summed on its own.
+    ext = np.empty((n, p + 1, m))
+    u = ext[:, p]
+    np.subtract(lf, mx[:, None], out=u)
+    np.exp(u, out=u)
+    for j in range(p):
+        np.multiply(u, vec[:, :, j], out=ext[:, j])
+    if mode == "mc-grad" and lf.min() == -np.inf:  # u is 0 there, grad log f may not be finite
+        np.copyto(ext[:, :p], 0.0, where=np.isneginf(lf)[:, None, :])
+    acc = ext.sum(axis=2)
+    b = acc[:, :p] / acc[:, p:]
     if mode == "mc-stein":
-        b = b / root
+        b /= root
     return b
+
+
+def _returned(target, name, out, shape):
+    """``out`` as an array; UnsupportedTargetError unless it has ``shape``."""
+    if np.shape(out) != shape:
+        raise UnsupportedTargetError(
+            f"{target.name!r} {name} returned shape {np.shape(out)}, expected {shape}")
+    return np.asarray(out)
 
 
 def _drift_mc(ev, x, t, step_index, particle_index, mode):

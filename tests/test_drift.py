@@ -94,6 +94,23 @@ def test_gradient_form_is_exactly_constant_for_gaussian():
                 assert float(b[0]) == 2.0
 
 
+@pytest.mark.parametrize("mean", [[2.0], [-0.5, 4.0]])
+@pytest.mark.parametrize("m", [127, 128, 129, 1000, 4099])
+def test_gradient_form_is_exact_past_one_pairwise_block(mean, m):
+    # numpy sums runs of more than 128 values pairwise; numerator and
+    # denominator must still share one tree, in a point call and in tiles.
+    g = gaussian(mean)
+    p = len(mean)
+    ev = DriftEvaluator(target=g, mode="mc-grad", m=m, seed=9)
+    assert np.array_equal(drift_mc_grad(ev, np.full(p, 0.3), 0.4, 1, 2), np.array(mean))
+    pts = np.linspace(-2.0, 2.0, 7 * p).reshape(7, p)
+    for workers in (1, 2):
+        ev = DriftEvaluator(target=g, mode="mc-grad", m=m, seed=9, workers=workers)
+        with mock.patch.object(_drift, "_CHUNK_VALUES", 2 * m * (p + 1)):  # four tiles
+            got = ev.batch(pts, 0.4, 1)
+        assert np.array_equal(got, np.tile(mean, (7, 1)))
+
+
 def test_gradient_form_is_exactly_zero_on_flat_target():
     std = standard_gaussian(2)
     ev = DriftEvaluator(target=std, mode="mc-grad", m=16, seed=5)
@@ -250,6 +267,49 @@ def test_batch_rows_equal_point_calls_bit_for_bit(case):
         got = ev.batch(pts, t, k)
     assert got.shape == pts.shape
     assert np.array_equal(got, np.vstack(rows))
+
+
+@pytest.mark.parametrize("mode", ["mc-grad", "mc-stein"])
+def test_tiles_and_workers_never_change_a_drift(mode):
+    target = gaussian_mixture_target([0.3, 0.7], [[1.0, -2.0], [-1.5, 0.5]])
+    pts = 2.0 * np.random.default_rng(4).standard_normal((100, 2))
+    outs = set()
+    # Tiles of one particle (in pool tasks of 34 or 2 tiles at three workers), of 18, of all.
+    for chunk_values, task_tiles in ((600, 64), (600, 2), (1 << 14, 64), (1 << 22, 64)):
+        for workers in (1, 3):
+            ev = DriftEvaluator(target, mode, m=300, seed=8, workers=workers)
+            with mock.patch.object(_drift, "_CHUNK_VALUES", chunk_values), \
+                    mock.patch.object(_drift, "_TASK_TILES", task_tiles):
+                outs.add(ev.batch(pts, 0.3, 2).tobytes())
+    assert len(outs) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_first_dead_particle_in_a_later_tile_is_reported(workers):
+    pts = np.zeros((9, 1))
+    pts[[4, 8]] = 10.0  # every probe lands outside the bump's support
+    ev = DriftEvaluator(quartic_bump(3.0), "mc-grad", m=16, seed=2, workers=workers)
+    with mock.patch.object(_drift, "_CHUNK_VALUES", 2 * 16 * 2):  # two particles a tile
+        with pytest.raises(DriftSingularityError) as err:
+            ev.batch(pts, 0.0, 3)
+    assert (err.value.particle_index, err.value.step_index) == (4, 3)
+    assert err.value.x.tolist() == [10.0]
+
+
+@pytest.mark.parametrize("which, bad", [
+    ("log_f", lambda lf: lf[:, None]),
+    ("log_f", lambda lf: lf[:-1]),
+    ("grad_log_f", lambda g: g[:, 0]),
+    ("grad_log_f", lambda g: np.hstack([g, g])),
+])
+def test_wrong_shaped_target_output_is_unsupported(which, bad):
+    base = gaussian([1.0])
+    target = dataclasses.replace(base, **{which: lambda x: bad(getattr(base, which)(x))})
+    ev = DriftEvaluator(target, "mc-grad", m=8, seed=1)
+    with pytest.raises(UnsupportedTargetError, match=which):
+        ev.batch(np.zeros((3, 1)), 0.5, 0)
+    with pytest.raises(UnsupportedTargetError, match=which):
+        drift_mc_grad(ev, np.array([0.0]), 0.5)
 
 
 def test_heat_semigroup_at_zero_time_is_f_itself():
