@@ -12,9 +12,9 @@ exits with a stable code: 2 config or I/O, 3 unknown target kind,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -58,12 +58,10 @@ def build_parser():
     def add_common(p, need_out):
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", required=need_out, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override [run] seed")
-        p.add_argument("--steps", type=int, default=None, help="override [run] steps")
-        p.add_argument("--particles", type=int, default=None, help="override [run] particles")
-        p.add_argument("--mc-size", type=int, default=None, help="override [run] mc_size")
-        p.add_argument("--eps-rule", default=None, help="override [run] eps_rule")
-        p.add_argument("--drift", default=None, help="override [run] drift mode")
+        for key, kind in RUN_KEYS.items():
+            if kind != "bool":  # record_trajectory is sample's --trajectory
+                p.add_argument("--" + key.replace("_", "-"), type=int if kind == "int" else str,
+                               help=f"override [run] {key}")
         p.add_argument("--workers", type=int, default=1, help="drift evaluation threads (>= 1)")
 
     p_sample = sub.add_parser("sample", help="run the sampler and write a batch")
@@ -183,7 +181,7 @@ def _cmd_drift_check(args):
 
 def _cmd_sweep(args):
     sections, target, base = _load(args)
-    plan = dataclasses.replace(plan_from_config(sections, base), workers=args.workers)
+    plan = replace(plan_from_config(sections, base), workers=args.workers)
     summary = run_experiment(plan, args.out)
     write_resolved_ini(os.path.join(args.out, "resolved.ini"), target, base, plan=plan)
     _emit(
@@ -220,7 +218,7 @@ def _cmd_regularity(args):
     _, target, config = _load(args)
     evaluator = None if target.mixture is not None else _mc_evaluator(target, config, args.workers)
     estimate = estimate_regularity(target, seed=config.seed, evaluator=evaluator)
-    report = {"command": "regularity", "estimate": estimate.describe(), "target": target.name}
+    report = {"command": "regularity", "estimate": asdict(estimate), "target": target.name}
     if target.regularity is not None:
         reg = target.regularity
         b_sup_bound = reg.gamma / reg.xi

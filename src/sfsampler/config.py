@@ -48,6 +48,10 @@ _PLAN_KEYS = {
     "replications": "int",
     "metric": "str",
 }
+# Values for keys a section leaves out whose field has no default of its
+# own; eps_rule is the text that parses to SamplerConfig.eps.
+_RUN_DEFAULTS = {"steps": 100, "particles": 1000, "eps_rule": "none"}
+_PLAN_DEFAULTS = {"name": "sweep"}
 _SECTIONS = {
     "target": _TARGET_KEYS,
     "target.regularity": _REG_KEYS,
@@ -152,7 +156,7 @@ def sampler_from_config(sections, overrides=None):
     Raises:
         ConfigError: no seed anywhere, or an unknown override key.
     """
-    run = dict(sections.get("run", {}))
+    run = {**_RUN_DEFAULTS, **sections.get("run", {})}
     for key, value in (overrides or {}).items():
         if key not in RUN_KEYS:
             raise ConfigError(f"unknown run setting {key!r}")
@@ -160,20 +164,11 @@ def sampler_from_config(sections, overrides=None):
             run[key] = value
     if "seed" not in run:
         raise ConfigError("no seed: set seed under [run] or pass --seed")
-    eps_text = run.pop("eps_rule", "none")
     try:
-        eps = EpsSchedule.parse(str(eps_text))
+        eps = EpsSchedule.parse(str(run.pop("eps_rule")))
     except ValueError as exc:
         raise ConfigError(f"[run] eps_rule: {exc}") from None
-    return SamplerConfig(
-        steps=run.pop("steps", 100),
-        particles=run.pop("particles", 1000),
-        seed=run.pop("seed"),
-        drift=str(run.pop("drift", "auto")),
-        mc_size=run.pop("mc_size", None),
-        eps=eps,
-        record_trajectory=bool(run.pop("record_trajectory", False)),
-    )
+    return SamplerConfig(eps=eps, **run)
 
 
 def ula_from_config(sections):
@@ -186,24 +181,20 @@ def ula_from_config(sections):
 
 def plan_from_config(sections, base):
     """Build an ExperimentPlan from [plan] around a base SamplerConfig."""
-    plan = sections.get("plan", {})
+    plan = {**_PLAN_DEFAULTS, **sections.get("plan", {})}
     if "axis" not in plan or "values" not in plan:
         raise ConfigError("sweep needs [plan] with axis and values")
     try:
         return ExperimentPlan(
-            name=str(plan.get("name", "sweep")),
-            target_options=target_options_from_config(sections),
-            base=base,
-            axis=str(plan["axis"]),
-            values=tuple(plan["values"]),
-            replications=plan.get("replications", 3),
-            metric=str(plan.get("metric", "w2_1d")),
+            target_options=target_options_from_config(sections), base=base, **plan
         )
     except ValueError as exc:
         raise ConfigError(f"[plan]: {exc}") from None
 
 
 def _fmt(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple)):
@@ -233,13 +224,8 @@ def write_resolved_ini(path, target, config, ula=None, plan=None):
         "target": dict(sorted(target.params.items())),
         "target.regularity": None if reg is None else reg.describe(),
         "run": {
-            "seed": config.seed,
-            "steps": config.steps,
-            "particles": config.particles,
-            "drift": config.drift,
-            "mc_size": config.mc_size,
-            "eps_rule": str(config.eps),
-            "record_trajectory": "true" if config.record_trajectory else "false",
+            key: str(config.eps) if key == "eps_rule" else getattr(config, key)
+            for key in RUN_KEYS
         },
         "ula": None if ula is None else {
             "step_size": check_real("step_size", ula["step_size"], low=0.0),
@@ -248,13 +234,7 @@ def write_resolved_ini(path, target, config, ula=None, plan=None):
                 "post_steps", ula["post_steps"]
             ),
         },
-        "plan": None if plan is None else {
-            "name": plan.name,
-            "axis": plan.axis,
-            "values": list(plan.values),
-            "replications": plan.replications,
-            "metric": plan.metric,
-        },
+        "plan": None if plan is None else {key: getattr(plan, key) for key in _PLAN_KEYS},
     }
     text = "\n\n".join(
         "\n".join(

@@ -92,7 +92,8 @@ class DriftEvaluator:
     def batch(self, points, t, step_index):
         """Drift at every row of ``points`` (n, p) at time t, as an (n, p) array.
 
-        The exact mode is the closed form and ignores the rest. Row i of a
+        The points are checked as ``eval_log_f`` checks them. The exact mode
+        is the closed form and ignores the rest. Row i of a
         Monte-Carlo estimate uses the probes of particle i at step
         ``step_index``, the same bytes a direct call with that particle
         index gives. Rows run in cache-sized tiles whose probes the calling
@@ -101,8 +102,9 @@ class DriftEvaluator:
         order, so the first failing particle is the one raised, and the
         threads are joined before the call returns or raises.
         """
+        points, _ = _coerce(points, self.target.dim)
         if self.mode == "exact":
-            return drift_exact(self.target, points, t)
+            return self.target.mixture.grad_log_ratio(points, _check_t(t))
         t = _check_t(t, allow_one=self.mode != "mc-stein")
         n, p = points.shape
         gen = _rng.substream(self.seed, _rng.ROLE_DRIFT, step_index)
@@ -343,14 +345,6 @@ class RegularityEstimate:
     c1_hat: float
     b_sup_hat: float
     n_points: int
-
-    def describe(self):
-        return {
-            "c0_hat": self.c0_hat,
-            "c1_hat": self.c1_hat,
-            "b_sup_hat": self.b_sup_hat,
-            "n_points": self.n_points,
-        }
 
 
 def estimate_regularity(target, grid=None, seed=0, evaluator=None):

@@ -24,7 +24,7 @@ from . import rng as _rng
 from .batches import config_digest, rate_table_csv, save_batch, write_json
 from .metrics import W2_METRICS, fit_rate, w2_score
 from .drift import DriftEvaluator, default_drift_mode
-from .errors import check_int, check_real
+from .errors import UnsupportedTargetError, check_int, check_real
 from .sampler import EpsSchedule, SamplerConfig, sfs_run, ula_run
 from .targets import build_target, sample_ground_truth
 
@@ -58,6 +58,7 @@ class ExperimentPlan:
     def __post_init__(self):
         object.__setattr__(self, "replications", check_int("replications", self.replications, 3))
         object.__setattr__(self, "workers", check_int("workers", self.workers))
+        object.__setattr__(self, "values", tuple(self.values))
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
         if len(self.values) < 3:
@@ -71,25 +72,17 @@ class ExperimentPlan:
             raise ValueError(f"metric must be one of {W2_METRICS}, got {self.metric!r}")
 
     def describe(self):
-        return {
-            "axis": self.axis,
-            "base": self.base.describe(),
-            "metric": self.metric,
-            "name": self.name,
-            "replications": self.replications,
-            "target": self.target_options,
-            "values": list(self.values),
-        }
+        """The plan as plan.json holds it: every field but the thread count."""
+        desc = dataclasses.asdict(self)
+        del desc["workers"]
+        desc["target"] = desc.pop("target_options")
+        return desc
 
 
 def _cell_config(base, axis, value):
-    if axis == "steps":
-        return dataclasses.replace(base, steps=int(value))
-    if axis == "particles":
-        return dataclasses.replace(base, particles=int(value))
-    if axis == "mc_size":
-        return dataclasses.replace(base, mc_size=int(value))
-    return dataclasses.replace(base, eps=EpsSchedule(rule="fixed", value=float(value)))
+    if axis == "eps":
+        return dataclasses.replace(base, eps=EpsSchedule(rule="fixed", value=float(value)))
+    return dataclasses.replace(base, **{axis: int(value)})  # the count axes are field names
 
 
 def run_experiment(plan, out_dir):
@@ -101,6 +94,9 @@ def run_experiment(plan, out_dir):
         over replications, and the cell's ground-truth noise floor.
     """
     target = build_target(plan.target_options)
+    if target.sampler is None:
+        raise UnsupportedTargetError(
+            f"a sweep scores against ground truth; target {target.name!r} has no sampler")
     if plan.metric == "w2_1d" and target.dim != 1:
         raise ValueError("metric w2_1d needs a one-dimensional target")
     drift = default_drift_mode(target) if plan.base.drift == "auto" else plan.base.drift
@@ -157,7 +153,7 @@ def run_experiment(plan, out_dir):
         xs = [float(c["value"]) for c in cells]
         ys = [c["w2_mean"] for c in cells]
         if all(v > 0 for v in xs) and all(v > 0 for v in ys):
-            fit = fit_rate(xs, ys).describe()
+            fit = dataclasses.asdict(fit_rate(xs, ys))
 
     summary = {
         "axis": plan.axis,
@@ -210,6 +206,9 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, ula_post_steps=
     Returns:
         Report dict with per-sampler W2 and mode-mass balance.
     """
+    if target.sampler is None:
+        raise UnsupportedTargetError(
+            f"a comparison scores against ground truth; target {target.name!r} has no sampler")
     ev = DriftEvaluator(target=target, mode=config.drift, m=config.mc_size, seed=config.seed)
     if ev.mode == "exact":
         raise ValueError(

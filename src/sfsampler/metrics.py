@@ -61,9 +61,6 @@ class SlicedW2:
     n_projections: int
     per_projection: np.ndarray = field(repr=False)
 
-    def describe(self):
-        return {"value": self.value, "se": self.se, "n_projections": self.n_projections}
-
 
 def sliced_w2(x, y, n_projections=64, seed=0):
     """Sliced W2: average the 1-D metric over random directions.
@@ -146,19 +143,6 @@ class MomentReport:
             return float("nan")
         return float(np.max(np.abs(self.z_mean)))
 
-    def describe(self):
-        return {
-            "flags": list(self.flags),
-            "max_abs_z": self.max_abs_z,
-            "mean_se": None if self.mean_se is None else self.mean_se.tolist(),
-            "n": self.n,
-            "sample_cov": None if self.sample_cov is None else self.sample_cov.tolist(),
-            "sample_mean": self.sample_mean.tolist(),
-            "target_cov": self.target_cov.tolist(),
-            "target_mean": self.target_mean.tolist(),
-            "z_mean": None if self.z_mean is None else self.z_mean.tolist(),
-        }
-
 
 def moment_report(samples, target, seed=0):
     """Compare a batch's mean and covariance to the target's.
@@ -219,14 +203,6 @@ class RateFit:
     intercept: float
     r_squared: float
     n_points: int
-
-    def describe(self):
-        return {
-            "intercept": self.intercept,
-            "n_points": self.n_points,
-            "r_squared": self.r_squared,
-            "slope": self.slope,
-        }
 
 
 def fit_rate(xs, ys):

@@ -88,13 +88,10 @@ class EpsSchedule:
             raise ValueError("power rule needs m >= 2 to give eps < 1")
         return float(m ** -0.2)
 
-    def describe(self):
-        return {"rule": self.rule, "value": self.value}
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Static description of one run.
+    """Static description of one run; its ``asdict`` form is what the digest covers.
 
     Attributes:
         steps: number K of Euler steps.
@@ -121,18 +118,10 @@ class SamplerConfig:
             raise ValueError(f"drift must be auto or one of {DRIFT_MODES}, got {self.drift!r}")
         if self.mc_size is not None:
             object.__setattr__(self, "mc_size", check_int("mc_size", self.mc_size))
-        _rng.check_seed(self.seed)
-
-    def describe(self):
-        return {
-            "drift": self.drift,
-            "eps": self.eps.describe(),
-            "mc_size": self.mc_size,
-            "particles": self.particles,
-            "record_trajectory": bool(self.record_trajectory),
-            "seed": self.seed,
-            "steps": self.steps,
-        }
+        object.__setattr__(self, "seed", _rng.check_seed(self.seed))
+        if not isinstance(self.record_trajectory, (bool, np.bool_)):
+            raise ValueError(f"record_trajectory must be a bool, got {self.record_trajectory!r}")
+        object.__setattr__(self, "record_trajectory", bool(self.record_trajectory))
 
 
 def _first_bad_particle(y):
@@ -171,7 +160,7 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
         "algorithm": "sfs",
         "drift_resolved": ev.mode,
         "eps_resolved": eps,
-        "sampler": config.describe(),
+        "sampler": dataclasses.asdict(config),
         "stream_policy": _rng.STREAM_POLICY,
         "target": describe(target),
     }
@@ -252,7 +241,7 @@ def ula_run(config, target, step_size, burn_in):
     total = burn_in + config.steps
     resolved = {
         "algorithm": "ula",
-        "sampler": config.describe(),
+        "sampler": dataclasses.asdict(config),
         "stream_policy": _rng.STREAM_POLICY,
         "target": describe(target),
         "ula": {"burn_in": burn_in, "step_size": step_size, "total_steps": total},

@@ -2,11 +2,12 @@
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from sfsampler import load_batch
+from sfsampler import harness, load_batch
 from sfsampler.cli import main
 
 GOOD = """[target]
@@ -85,6 +86,26 @@ def test_sample_cli_overrides_change_the_run(tmp_path, capsys):
     batch = load_batch(os.path.join(out, "samples.csv"))
     assert batch.seed == 21
     assert batch.config["drift_resolved"] == "exact"
+
+
+def test_every_run_flag_reaches_the_run(tmp_path, capsys):
+    cfg = _write(tmp_path, GOOD)
+    out = os.path.join(tmp_path, "out")
+    assert main(["sample", "--config", cfg, "--out", out, "--seed", "3", "--steps", "5",
+                 "--particles", "6", "--drift", "mc-stein", "--mc-size", "9",
+                 "--eps-rule", "fixed:0.25", "--trajectory"]) == 0
+    assert load_batch(os.path.join(out, "samples.csv")).config["sampler"] == {
+        "drift": "mc-stein",
+        "eps": {"rule": "fixed", "value": 0.25},
+        "mc_size": 9,
+        "particles": 6,
+        "record_trajectory": True,
+        "seed": 3,
+        "steps": 5,
+    }
+    with open(os.path.join(out, "resolved.ini")) as fh:
+        assert "[run]\nseed = 3\nsteps = 5\nparticles = 6\ndrift = mc-stein\nmc_size = 9\n" \
+            "eps_rule = fixed:0.25\nrecord_trajectory = true\n" in fh.read()
 
 
 def test_sample_trajectory_flag(tmp_path, capsys):
@@ -179,6 +200,20 @@ def test_workers_below_one_are_exit_4(tmp_path, capsys):
         assert payload["error"] == "ValueError"
         assert payload["message"].startswith("workers must be a positive integer")
         assert not os.path.exists(out), argv
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_scoring_commands_need_a_ground_truth_sampler_before_any_run(tmp_path, capsys, command):
+    cfg = _write(tmp_path, POTENTIAL + "\n[ula]\nstep_size = 0.05\nburn_in = 20\n\n"
+                 "[plan]\naxis = steps\nvalues = 2 4 8\n")
+    out = os.path.join(tmp_path, "o")
+    with mock.patch.object(harness, "sfs_run", side_effect=AssertionError("sampler ran")) as run:
+        assert main([command, "--config", cfg, "--out", out]) == 4
+    payload = _json_out(capsys)
+    assert payload["error"] == "UnsupportedTargetError"
+    assert "ground truth" in payload["message"]
+    assert not run.called
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("command, text", [

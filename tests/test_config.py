@@ -1,11 +1,15 @@
 """Config files: strict parsing, typed errors, and lossless round-trips."""
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfsampler import (
+    DRIFT_MODES,
     ConfigError,
     EpsSchedule,
     ExperimentPlan,
@@ -23,6 +27,8 @@ from sfsampler.config import (
     ula_from_config,
     write_resolved_ini,
 )
+from sfsampler.harness import SWEEP_AXES
+from sfsampler.metrics import W2_METRICS
 from sfsampler.targets import build_target, describe
 
 
@@ -194,6 +200,68 @@ def test_resolved_ini_bytes_are_pinned(tmp_path):
     write_resolved_ini(path, target, SamplerConfig(steps=4, particles=8, seed=0))
     with open(path, "rb") as fh:
         assert fh.read() == GOLDEN_MINIMAL.encode()
+
+
+ROUND_TRIP_OPTIONS = {
+    "kind": "mixture",
+    "weights": [0.25, 0.75],
+    "means": [[2.0, 1.0], [-2.0, 0.5]],
+    "regularity": {"gamma": 100.0, "xi": 0.01, "zeta": 8.0},
+}
+_AWKWARD = st.floats(allow_nan=False, allow_infinity=False)
+_SCHEDULES = st.one_of(
+    st.sampled_from(["none", "log", "power"]).map(lambda rule: EpsSchedule(rule=rule)),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
+        lambda value: EpsSchedule(rule="fixed", value=value)),
+)
+_CONFIGS = st.builds(
+    SamplerConfig,
+    steps=st.integers(1, 10**9),
+    particles=st.integers(1, 10**9),
+    seed=st.integers(0, 2**128 - 1),
+    drift=st.sampled_from(("auto",) + DRIFT_MODES),
+    mc_size=st.none() | st.integers(1, 10**9),
+    eps=_SCHEDULES,
+    record_trajectory=st.booleans(),
+)
+
+
+@st.composite
+def _run_files(draw):
+    """A SamplerConfig, and either no plan or a plan around that config."""
+    config = draw(_CONFIGS)
+    if draw(st.booleans()):
+        return config, None
+    axis = draw(st.sampled_from(SWEEP_AXES))
+    value = _AWKWARD if axis == "eps" else st.integers(-10**6, 10**6).map(float)
+    plan = ExperimentPlan(
+        name=draw(st.from_regex(r"[A-Za-z0-9_.-]{1,12}", fullmatch=True)),
+        target_options=ROUND_TRIP_OPTIONS,
+        base=config,
+        axis=axis,
+        values=tuple(draw(st.lists(value, min_size=3, max_size=6))),
+        replications=draw(st.integers(3, 10**6)),
+        metric=draw(st.sampled_from(W2_METRICS)),
+    )
+    return config, plan
+
+
+@settings(max_examples=80, deadline=None)
+@given(_run_files())
+def test_run_file_round_trips_every_setting(run_file):
+    config, plan = run_file
+    target = build_target(ROUND_TRIP_OPTIONS)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "first.ini"), os.path.join(tmp, "second.ini")
+        write_resolved_ini(first, target, config, plan=plan)
+        sections = read_ini(first)
+        config2 = sampler_from_config(sections)
+        plan2 = None if plan is None else plan_from_config(sections, config2)
+        assert config2 == config
+        assert plan2 == plan
+        write_resolved_ini(second, target_from_config(sections), config2, plan=plan2)
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()
 
 
 def test_resolved_ini_refuses_targets_read_ini_cannot_rebuild(tmp_path):

@@ -312,6 +312,21 @@ def test_wrong_shaped_target_output_is_unsupported(which, bad):
         drift_mc_grad(ev, np.array([0.0]), 0.5)
 
 
+@pytest.mark.parametrize("mode", ["exact", "mc-grad", "mc-stein"])
+@pytest.mark.parametrize("points, message", [
+    (np.zeros((4, 3)), "expected batch shape"),
+    (np.zeros((4, 1)), "expected batch shape"),
+    (np.zeros(5), "expected a point of dimension 2"),
+    (np.array([[0.0, 1.0], [np.nan, 0.0]]), "must be finite"),
+    (np.array([[0.0, np.inf]]), "must be finite"),
+], ids=["too-wide", "too-narrow", "flat", "nan", "inf"])
+def test_batch_checks_its_points_in_every_mode(mode, points, message):
+    target = gaussian_mixture_target([0.3, 0.7], [[1.0, -2.0], [-1.5, 0.5]])
+    ev = DriftEvaluator(target, mode, m=8, seed=1)
+    with pytest.raises(ValueError, match=message):
+        ev.batch(points, 0.5, 0)
+
+
 def test_heat_semigroup_at_zero_time_is_f_itself():
     t = gaussian_potential([1.0], log_scale=2.0)
     x = np.array([0.7])

@@ -242,6 +242,16 @@ def test_config_validation():
     assert config.mc_size == 8 and type(config.mc_size) is int
 
 
+def test_record_trajectory_must_be_a_bool():
+    for bad in ("no", "yes", 1, 0, None, 1.0):
+        with pytest.raises(ValueError, match="record_trajectory must be a bool"):
+            SamplerConfig(steps=2, particles=3, seed=0, record_trajectory=bad)
+    for flag in (np.bool_(True), np.bool_(False)):
+        config = SamplerConfig(steps=2, particles=3, seed=0, record_trajectory=flag)
+        assert type(config.record_trajectory) is bool
+        assert config.record_trajectory == bool(flag)
+
+
 def test_regularized_run_tracks_the_regularized_law():
     # With a large fixed eps the run should land between the bump and the
     # base Gaussian; check first and second moments against the mixture law.
