@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import DriftSingularityError, UnsupportedTargetError, check_int, check_real
-from .targets import _coerce
+from .targets import _coerce, _returned
 
 DRIFT_MODES = ("exact", "mc-grad", "mc-stein")
 
@@ -163,7 +163,7 @@ def heat_semigroup_mc(target, x, t, m, seed):
         raise ValueError("heat_semigroup_mc evaluates one point at a time")
     z = _rng.substream(seed, _rng.ROLE_SEMIGROUP, 0).standard_normal((m, target.dim))
     probe = pts + math.sqrt(t) * z
-    lf = target.log_f(probe) + target.log_scale
+    lf = _returned(target, "log_f", target.log_f(probe), (m,)) + target.log_scale
     mx = lf.max()  # the shift keeps exp from overflowing; all f = 0 gives 0
     return 0.0 if np.isneginf(mx) else float(np.exp(mx) * np.mean(np.exp(lf - mx)))
 
@@ -198,6 +198,10 @@ def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset):
     Returns:
         (n, p) drift estimates. Raises UnsupportedTargetError when log f
         does not return shape (n * m,) or grad log f (n * m, p).
+
+    A mixture target whose callables are still the mixture's own gets log f
+    and its gradient from one softmax pass in mc-grad; replaced callables
+    (``dataclasses.replace(target, log_f=...)``) are called as given.
     """
     n, m, p = z.shape
     root = math.sqrt(1.0 - t)
@@ -206,7 +210,14 @@ def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset):
     for j in range(p):
         probes[:, :, j] += points[:, j, None]
     probes = probes.reshape(n * m, p)
-    lf = _returned(target, "log_f", target.log_f(probes), (n * m,)).reshape(n, m)
+    mix = target.mixture
+    fused = (mode == "mc-grad" and mix is not None and mix.log_ratio == target.log_f
+             and mix.grad_log_ratio == target.grad_log_f)
+    if fused:
+        lf, vec = mix.log_ratio_and_grad(probes)
+    else:
+        lf = _returned(target, "log_f", target.log_f(probes), (n * m,))
+    lf = lf.reshape(n, m)
     mx = lf.max(axis=1)
     if np.isnan(mx).any():  # max propagates NaN
         raise ValueError("target log density returned NaN at a drift probe")
@@ -221,8 +232,11 @@ def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset):
             step_index=step_index,
             particle_index=particle_offset + i,
         )
-    vec = z if mode == "mc-stein" else _returned(
-        target, "grad_log_f", target.grad_log_f(probes), (n * m, p)).reshape(n, m, p)
+    if mode == "mc-stein":
+        vec = z.transpose(2, 0, 1)
+    elif not fused:
+        vec = _returned(target, "grad_log_f", target.grad_log_f(probes), (n * m, p)).T
+    vec = vec.reshape(p, n, m)  # channel j of the integrand is vec[j]
     # Channels u * vec_j and u, each contiguous along m, summed in one call:
     # all share numpy's pairwise tree, and each row is summed on its own.
     ext = np.empty((n, p + 1, m))
@@ -230,22 +244,15 @@ def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset):
     np.subtract(lf, mx[:, None], out=u)
     np.exp(u, out=u)
     for j in range(p):
-        np.multiply(u, vec[:, :, j], out=ext[:, j])
-    if mode == "mc-grad" and lf.min() == -np.inf:  # u is 0 there, grad log f may not be finite
+        np.multiply(u, vec[j], out=ext[:, j])
+    # u is 0 where f = 0 and grad log f may not be finite; a mixture's f never is.
+    if mode == "mc-grad" and not fused and lf.min() == -np.inf:
         np.copyto(ext[:, :p], 0.0, where=np.isneginf(lf)[:, None, :])
     acc = ext.sum(axis=2)
     b = acc[:, :p] / acc[:, p:]
     if mode == "mc-stein":
         b /= root
     return b
-
-
-def _returned(target, name, out, shape):
-    """``out`` as an array; UnsupportedTargetError unless it has ``shape``."""
-    if np.shape(out) != shape:
-        raise UnsupportedTargetError(
-            f"{target.name!r} {name} returned shape {np.shape(out)}, expected {shape}")
-    return np.asarray(out)
 
 
 def _drift_mc(ev, x, t, step_index, particle_index, mode):

@@ -27,7 +27,7 @@ from .batches import SampleBatch, config_digest
 from .drift import _CHUNK_VALUES  # noqa: F401 - bench/replay.py chunks its replay by it
 from .drift import DRIFT_MODES, DriftEvaluator
 from .errors import NonFiniteStateError, UnsupportedTargetError, check_int, check_real
-from .targets import describe, regularize
+from .targets import _returned, describe, regularize
 
 DEFAULT_TRAJECTORY_BUDGET = 1 << 27  # float64 values, about 1 GiB
 
@@ -252,7 +252,7 @@ def ula_run(config, target, step_size, burn_in):
     x = _rng.substream(config.seed, _rng.ROLE_ULA_INIT, 0).standard_normal((n, p))
     noise_scale = math.sqrt(2.0 * step_size)
     for it in range(total):
-        g = target.grad_log_f(x) - x
+        g = _returned(target, "grad_log_f", target.grad_log_f(x), (n, p)) - x
         x = x + step_size * g
         x += noise_scale * _rng.substream(config.seed, _rng.ROLE_ULA_STEP, it).standard_normal((n, p))
         if not np.isfinite(x).all():

@@ -56,6 +56,14 @@ def _coerce(x, dim):
     raise ValueError(f"input must be at most 2-dimensional, got shape {x.shape}")
 
 
+def _returned(target, name, out, shape):
+    """A target callable's output as an array; UnsupportedTargetError unless it has ``shape``."""
+    if np.shape(out) != shape:
+        raise UnsupportedTargetError(
+            f"{target.name!r} {name} returned shape {np.shape(out)}, expected {shape}")
+    return np.asarray(out)
+
+
 @dataclass(frozen=True)
 class TargetRegularity:
     """Declared regularity constants for the density ratio f.
@@ -126,18 +134,18 @@ class GaussianMixture:
     def n_components(self):
         return self.means.shape[0]
 
-    def _softmax_blocks(self, x, t):
-        """Max-shifted exps of the logits log w_i + m_i . x_j - t |m_i|^2 / 2.
+    def _softmax_pass(self, x, t, value=None, grad=None):
+        """log Q_{1-t} f into ``value`` (n,) and its gradient into ``grad`` (p, n).
 
-        Works through the points in blocks of _SOFTMAX_BLOCK, so the (k, b)
-        exps and the temporaries stay in cache. Yields (rows, u, mx, total)
-        per block: the slice of points, their (k, b) exps (a buffer the next
-        block reuses), each point's largest logit and its column sum of u.
-        Sums over the short axes (p here, k here and in grad_log_ratio) are
-        elementwise passes in a fixed order, not matmul or a reduction,
-        which round a point differently depending on how many points come
-        with it: the drift of one point must not depend on the points
-        evaluated beside it.
+        Either output may be None; both come from one softmax of the logits
+        log w_i + m_i . x_j - t |m_i|^2 / 2, and at t = 1 they are log f and
+        grad log f. The points go in blocks of _SOFTMAX_BLOCK, so the (k, b)
+        exps and the temporaries stay in cache. Sums over the short axes
+        (p and k) are elementwise passes in a fixed order, not matmul or a
+        reduction, which round a point differently depending on how many
+        points come with it: the drift of one point must not depend on the
+        points evaluated beside it. The gradient is the softmax-weighted
+        mean of the means.
         """
         c = self._log_w - t * self._half_sq
         xt = x.T
@@ -157,28 +165,32 @@ class GaussianMixture:
             total = u[0].copy()
             for row in u[1:]:
                 total += row
-            yield rows, u, mx, total
+            if value is not None:
+                np.log(total, out=value[rows])
+                value[rows] += mx
+            if grad is not None:
+                u /= total
+                for j, col in enumerate(grad[:, rows]):
+                    np.multiply(u[0], self.means[0, j], out=col)
+                    for i in range(1, self.n_components):
+                        col += self.means[i, j] * u[i]
 
     def log_ratio(self, x):
         out = np.empty(x.shape[0])
-        for rows, _, mx, total in self._softmax_blocks(x, 1.0):
-            np.log(total, out=out[rows])
-            out[rows] += mx
+        self._softmax_pass(x, 1.0, value=out)
         return out
 
     def grad_log_ratio(self, x, t=1.0):
-        """Gradient of log Q_{1-t} f: the softmax-weighted mean of the means.
-
-        At t = 1 this is grad log f; at t < 1 the closed-form drift.
-        """
+        """Gradient of log Q_{1-t} f, (n, p): grad log f at t = 1, else the closed-form drift."""
         g = np.empty((x.shape[0], self.dim))
-        for rows, u, _, total in self._softmax_blocks(x, t):
-            u /= total
-            for j, col in enumerate(g[rows].T):
-                np.multiply(u[0], self.means[0, j], out=col)
-                for i in range(1, self.n_components):
-                    col += self.means[i, j] * u[i]
+        self._softmax_pass(x, t, grad=g.T)
         return g
+
+    def log_ratio_and_grad(self, x):
+        """log f as (n,) and grad log f channel-major as (p, n), from one softmax pass."""
+        value, grad = np.empty(x.shape[0]), np.empty((self.dim, x.shape[0]))
+        self._softmax_pass(x, 1.0, value, grad)
+        return value, grad
 
     def mean(self):
         return self.weights @ self.means

@@ -28,6 +28,7 @@ from sfsampler import (
     heat_semigroup_mc,
     probe_points,
     quartic_bump,
+    regularize,
     standard_gaussian,
 )
 from sfsampler.errors import DriftSingularityError
@@ -325,6 +326,76 @@ def test_batch_checks_its_points_in_every_mode(mode, points, message):
     ev = DriftEvaluator(target, mode, m=8, seed=1)
     with pytest.raises(ValueError, match=message):
         ev.batch(points, 0.5, 0)
+
+
+@st.composite
+def mixture_drift_cases(draw):
+    k, p = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    means = draw(st.lists(st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p),
+                          min_size=k, max_size=k))
+    target = gaussian_mixture_target(raw / raw.sum(), means)
+    if draw(st.booleans()):
+        target = regularize(target, draw(st.floats(0.01, 0.5)))
+    n = draw(st.integers(1, 30))
+    pts = np.array(draw(st.lists(st.lists(st.floats(-4.0, 4.0), min_size=p, max_size=p),
+                                 min_size=n, max_size=n)))
+    return dict(
+        target=target, pts=pts, t=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        m=draw(st.integers(1, 300)), seed=draw(st.integers(0, 99)),
+        workers=draw(st.sampled_from([1, 3])),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixture_drift_cases())
+def test_one_pass_mixture_drift_equals_the_two_call_drift_bit_for_bit(case):
+    # Plain lambdas are not the mixture's own methods, so they take the
+    # two-call path with user-target checks.
+    target = case["target"]
+    mix = target.mixture
+    wrapped = dataclasses.replace(
+        target, log_f=lambda x: mix.log_ratio(x), grad_log_f=lambda x: mix.grad_log_ratio(x))
+
+    def drift(spec):
+        ev = DriftEvaluator(spec, "mc-grad", m=case["m"], seed=case["seed"],
+                            workers=case["workers"])
+        return ev.batch(case["pts"], case["t"], 1)
+
+    assert np.array_equal(drift(target), drift(wrapped))
+
+
+@pytest.mark.parametrize("mode", ["mc-grad", "mc-stein"])
+def test_replaced_mixture_callables_are_the_ones_called(mode):
+    rows = {"log_f": 0, "grad_log_f": 0}
+
+    def counting(name, f):
+        def wrapper(x):
+            rows[name] += len(x)
+            return f(x)
+        return wrapper
+
+    target = gaussian_mixture_target([0.3, 0.7], [[1.0, -2.0], [-1.5, 0.5]])
+    counted = dataclasses.replace(
+        target, log_f=counting("log_f", target.log_f),
+        grad_log_f=counting("grad_log_f", target.grad_log_f))
+    n, m = 50, 64  # several tiles
+    pts = np.random.default_rng(3).standard_normal((n, 2))
+    one_pass = _targets.GaussianMixture.log_ratio_and_grad
+    with mock.patch.object(_targets.GaussianMixture, "log_ratio_and_grad", autospec=True,
+                           side_effect=one_pass) as spy:
+        got = DriftEvaluator(counted, mode, m=m, seed=4).batch(pts, 0.5, 0)
+        assert rows == {"log_f": n * m, "grad_log_f": n * m if mode == "mc-grad" else 0}
+        assert not spy.called
+        want = DriftEvaluator(target, mode, m=m, seed=4).batch(pts, 0.5, 0)
+        assert spy.called == (mode == "mc-grad")
+    assert np.array_equal(got, want)
+
+
+def test_heat_semigroup_rejects_a_wrong_shaped_log_f():
+    bad = dataclasses.replace(MIX, log_f=lambda x: MIX.log_f(x)[:, None])
+    with pytest.raises(UnsupportedTargetError, match="log_f"):
+        heat_semigroup_mc(bad, np.array([0.3]), 0.5, m=8, seed=1)
 
 
 def test_heat_semigroup_at_zero_time_is_f_itself():

@@ -215,6 +215,15 @@ def test_ula_needs_gradient_and_plain_eps():
         ula_run(cfg_eps, MIX, step_size=0.1, burn_in=5)
 
 
+def test_ula_rejects_a_wrong_shaped_gradient():
+    # A 1-D gradient of shape (n,) would broadcast against the (n, 1) state.
+    flat = TargetSpec(name="flat-grad", dim=1, log_f=lambda x: -0.5 * x[:, 0] ** 2,
+                      grad_log_f=lambda x: -x[:, 0])
+    cfg = SamplerConfig(steps=3, particles=4, seed=0)
+    with pytest.raises(UnsupportedTargetError, match="grad_log_f"):
+        ula_run(cfg, flat, step_size=0.1, burn_in=0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(steps=0, particles=10, seed=0)

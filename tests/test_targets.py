@@ -266,3 +266,13 @@ def test_bump_sampler_matches_declared_variance():
     assert abs(batch.samples.mean()) < 0.01
     assert batch.samples.var() == pytest.approx(9.0 / 7.0, abs=0.02)
     assert np.abs(batch.samples).max() <= 3.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(mixtures_and_points())
+def test_fused_mixture_call_equals_the_two_calls_bit_for_bit(case):
+    target, x, _ = case
+    value, grad = target.mixture.log_ratio_and_grad(x)
+    assert grad.shape == (target.dim, len(x)) and grad.flags.c_contiguous
+    assert np.array_equal(value, target.log_f(x))
+    assert np.array_equal(grad.T, target.grad_log_f(x))
