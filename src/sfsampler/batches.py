@@ -10,6 +10,7 @@ regularity) share one form, and the rate tables share the CSV float format.
 import hashlib
 import json
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,12 @@ class SampleBatch:
     seed: int
     wallclock: float
     trajectories: np.ndarray | None = field(default=None, repr=False)
+
+    @classmethod
+    def record(cls, samples, config, seed, start, trajectories=None):
+        """A finished run: ``config`` digested, timed from its ``perf_counter()`` start."""
+        wallclock = time.perf_counter() - start
+        return cls(samples, config, config_digest(config), seed, wallclock, trajectories)
 
     @property
     def n(self):

@@ -54,8 +54,8 @@ def build_parser():
         description="Diffusion-based sampler for unnormalized targets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, need_out):
+    for name, (func, need_out, text) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", required=need_out, help="output directory")
         for key, kind in RUN_KEYS.items():
@@ -63,33 +63,12 @@ def build_parser():
                 p.add_argument("--" + key.replace("_", "-"), type=int if kind == "int" else str,
                                help=f"override [run] {key}")
         p.add_argument("--workers", type=int, default=1, help="drift evaluation threads (>= 1)")
-
-    p_sample = sub.add_parser("sample", help="run the sampler and write a batch")
-    add_common(p_sample, need_out=True)
-    p_sample.add_argument(
-        "--trajectory", dest="record_trajectory", action="store_const", const=True,
-        help="record and save full paths",
-    )
-    p_sample.set_defaults(func=_cmd_sample)
-
-    p_drift = sub.add_parser(
-        "drift-check", help="Monte-Carlo drift against the closed form on a grid"
-    )
-    add_common(p_drift, need_out=False)
-    p_drift.set_defaults(func=_cmd_drift_check)
-
-    p_sweep = sub.add_parser("sweep", help="run the [plan] sweep from the config")
-    add_common(p_sweep, need_out=True)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_cmp = sub.add_parser("compare", help="budget-matched Langevin comparison")
-    add_common(p_cmp, need_out=True)
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_reg = sub.add_parser("regularity", help="probe drift growth constants")
-    add_common(p_reg, need_out=False)
-    p_reg.set_defaults(func=_cmd_regularity)
-
+        if name == "sample":
+            p.add_argument(
+                "--trajectory", dest="record_trajectory", action="store_const", const=True,
+                help="record and save full paths",
+            )
+        p.set_defaults(func=func)
     return parser
 
 
@@ -146,11 +125,6 @@ def _mc_evaluator(target, config, workers):
 
 def _cmd_drift_check(args):
     _, target, config = _load(args)
-    if target.mixture is None:
-        raise UnsupportedTargetError(
-            f"drift-check needs the closed form, so a mixture target; "
-            f"{target.name!r} has none"
-        )
     ev = _mc_evaluator(target, config, args.workers)
     grid = ProbeGrid()
     pts = probe_points(grid, target.dim, seed=config.seed)
@@ -216,7 +190,7 @@ def _cmd_compare(args):
 
 def _cmd_regularity(args):
     _, target, config = _load(args)
-    evaluator = None if target.mixture is not None else _mc_evaluator(target, config, args.workers)
+    evaluator = _mc_evaluator(target, config, args.workers)  # unused on a mixture's closed form
     estimate = estimate_regularity(target, seed=config.seed, evaluator=evaluator)
     report = {"command": "regularity", "estimate": asdict(estimate), "target": target.name}
     if target.regularity is not None:
@@ -233,6 +207,16 @@ def _cmd_regularity(args):
         write_json(os.path.join(args.out, "regularity.json"), report)
     _emit(report)
     return EXIT_OK
+
+
+# name: (handler, whether --out is required, help), in --help order.
+COMMANDS = {
+    "sample": (_cmd_sample, True, "run the sampler and write a batch"),
+    "drift-check": (_cmd_drift_check, False, "Monte-Carlo drift against the closed form on a grid"),
+    "sweep": (_cmd_sweep, True, "run the [plan] sweep from the config"),
+    "compare": (_cmd_compare, True, "budget-matched Langevin comparison"),
+    "regularity": (_cmd_regularity, False, "probe drift growth constants"),
+}
 
 
 def _error_payload(exc, code):

@@ -175,13 +175,9 @@ def drift_exact(target, x, t):
     softmax weights log w_i + m_i . x - t |m_i|^2 / 2. Valid on all of
     [0, 1]; at t = 1 it coincides with grad log f.
     """
-    if target.mixture is None:
-        raise UnsupportedTargetError(
-            f"closed-form drift needs a mixture target, {target.name!r} has none"
-        )
-    t = _check_t(t)
+    ev = DriftEvaluator(target, "exact")
     pts, single = _coerce(x, target.dim)
-    b = target.mixture.grad_log_ratio(pts, t)
+    b = ev.batch(pts, t, 0)
     return np.asarray(b[0]) if single else b
 
 

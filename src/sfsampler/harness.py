@@ -23,7 +23,7 @@ from scipy.spatial.distance import cdist
 from . import rng as _rng
 from .batches import config_digest, rate_table_csv, save_batch, write_json
 from .metrics import W2_METRICS, fit_rate, w2_score
-from .drift import DriftEvaluator, default_drift_mode
+from .drift import DriftEvaluator
 from .errors import UnsupportedTargetError, check_int, check_real
 from .sampler import EpsSchedule, SamplerConfig, sfs_run, ula_run
 from .targets import build_target, sample_ground_truth
@@ -99,8 +99,10 @@ def run_experiment(plan, out_dir):
             f"a sweep scores against ground truth; target {target.name!r} has no sampler")
     if plan.metric == "w2_1d" and target.dim != 1:
         raise ValueError("metric w2_1d needs a one-dimensional target")
-    drift = default_drift_mode(target) if plan.base.drift == "auto" else plan.base.drift
-    if plan.axis == "mc_size" and drift == "exact":
+    # The base drift as every run resolves it; on the mc_size axis each cell brings its own m.
+    m = 1 if plan.axis == "mc_size" else plan.base.mc_size
+    ev = DriftEvaluator(target, plan.base.drift, m=m, seed=plan.base.seed, workers=plan.workers)
+    if plan.axis == "mc_size" and ev.mode == "exact":
         raise ValueError(
             "an mc_size sweep needs a Monte-Carlo drift mode; the closed-form drift ignores m"
         )
@@ -209,6 +211,8 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, ula_post_steps=
     if target.sampler is None:
         raise UnsupportedTargetError(
             f"a comparison scores against ground truth; target {target.name!r} has no sampler")
+    if target.grad_log_f is None:
+        raise UnsupportedTargetError(f"Langevin needs grad log f, {target.name!r} has none")
     ev = DriftEvaluator(target=target, mode=config.drift, m=config.mc_size, seed=config.seed)
     if ev.mode == "exact":
         raise ValueError(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .batches import SampleBatch, config_digest
+from .batches import SampleBatch
 from .drift import _CHUNK_VALUES  # noqa: F401 - bench/replay.py chunks its replay by it
 from .drift import DRIFT_MODES, DriftEvaluator
 from .errors import NonFiniteStateError, UnsupportedTargetError, check_int, check_real
@@ -124,9 +124,11 @@ class SamplerConfig:
         object.__setattr__(self, "record_trajectory", bool(self.record_trajectory))
 
 
-def _first_bad_particle(y):
-    ok = np.isfinite(y).all(axis=1)
-    return int(np.argmin(ok))
+def _check_finite(x, message, step):
+    """Raise NonFiniteStateError for the first non-finite row of x, formatted into message."""
+    if not np.isfinite(x).all():
+        bad = int(np.argmin(np.isfinite(x).all(axis=1)))
+        raise NonFiniteStateError(message.format(bad, step), particle_index=bad, step_index=step)
 
 
 def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_BUDGET):
@@ -164,7 +166,6 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
         "stream_policy": _rng.STREAM_POLICY,
         "target": describe(target),
     }
-    digest = config_digest(resolved)
 
     trajectories = None
     if config.record_trajectory:
@@ -186,24 +187,11 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
         inc = _rng.substream(config.seed, _rng.ROLE_INCREMENT, k).standard_normal((n, p))
         y += s * b
         y += root_s * inc
-        if not np.isfinite(y).all():
-            bad = _first_bad_particle(y)
-            raise NonFiniteStateError(
-                f"particle {bad} became non-finite after step {k}",
-                particle_index=bad,
-                step_index=k,
-            )
+        _check_finite(y, "particle {} became non-finite after step {}", k)
         if trajectories is not None:
             trajectories[:, k + 1] = y
 
-    return SampleBatch(
-        samples=y,
-        config=resolved,
-        config_digest=digest,
-        seed=config.seed,
-        wallclock=time.perf_counter() - start,
-        trajectories=trajectories,
-    )
+    return SampleBatch.record(y, resolved, config.seed, start, trajectories)
 
 
 def sfs_trajectory(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_BUDGET):
@@ -246,7 +234,6 @@ def ula_run(config, target, step_size, burn_in):
         "target": describe(target),
         "ula": {"burn_in": burn_in, "step_size": step_size, "total_steps": total},
     }
-    digest = config_digest(resolved)
 
     start = time.perf_counter()
     x = _rng.substream(config.seed, _rng.ROLE_ULA_INIT, 0).standard_normal((n, p))
@@ -255,17 +242,5 @@ def ula_run(config, target, step_size, burn_in):
         g = _returned(target, "grad_log_f", target.grad_log_f(x), (n, p)) - x
         x = x + step_size * g
         x += noise_scale * _rng.substream(config.seed, _rng.ROLE_ULA_STEP, it).standard_normal((n, p))
-        if not np.isfinite(x).all():
-            bad = _first_bad_particle(x)
-            raise NonFiniteStateError(
-                f"Langevin chain {bad} became non-finite after iteration {it}",
-                particle_index=bad,
-                step_index=it,
-            )
-    return SampleBatch(
-        samples=x,
-        config=resolved,
-        config_digest=digest,
-        seed=config.seed,
-        wallclock=time.perf_counter() - start,
-    )
+        _check_finite(x, "Langevin chain {} became non-finite after iteration {}", it)
+    return SampleBatch.record(x, resolved, config.seed, start)

@@ -246,6 +246,7 @@ class TargetSpec:
     def __post_init__(self):
         object.__setattr__(self, "dim", check_int("dim", self.dim))
         object.__setattr__(self, "log_scale", check_real("log_scale", self.log_scale))
+        config_digest(describe(self))  # params that JSON cannot hold fail here, not after a run
 
 
 def describe(target):
@@ -268,7 +269,7 @@ def eval_log_f(target, x):
     before treating it as absolute. Returns -inf where f vanishes.
     """
     pts, single = _coerce(x, target.dim)
-    out = target.log_f(pts) + target.log_scale
+    out = _returned(target, "log_f", target.log_f(pts), (len(pts),)) + target.log_scale
     return float(out[0]) if single else out
 
 
@@ -277,7 +278,7 @@ def eval_grad_log_f(target, x):
     if target.grad_log_f is None:
         raise UnsupportedTargetError(f"target {target.name!r} has no gradient")
     pts, single = _coerce(x, target.dim)
-    out = target.grad_log_f(pts)
+    out = _returned(target, "grad_log_f", target.grad_log_f(pts), pts.shape)
     return np.asarray(out[0]) if single else out
 
 
@@ -299,7 +300,7 @@ def sample_ground_truth(target, n, seed):
     seed = _rng.check_seed(seed)
     gen = _rng.substream(seed, _rng.ROLE_GROUND_TRUTH, 0)
     start = time.perf_counter()
-    samples = np.asarray(target.sampler(n, gen), dtype=float).reshape(n, target.dim)
+    samples = _returned(target, "sampler", target.sampler(n, gen), (n, target.dim))
     config = {
         "kind": "ground-truth",
         "n": n,
@@ -307,13 +308,7 @@ def sample_ground_truth(target, n, seed):
         "stream_policy": _rng.STREAM_POLICY,
         "target": describe(target),
     }
-    return SampleBatch(
-        samples=samples,
-        config=config,
-        config_digest=config_digest(config),
-        seed=seed,
-        wallclock=time.perf_counter() - start,
-    )
+    return SampleBatch.record(samples.astype(float, copy=False), config, seed, start)
 
 
 def regularize(target, eps):

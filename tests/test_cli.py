@@ -1,5 +1,6 @@
 """CLI: exit codes, error JSON, and the files each subcommand leaves behind."""
 
+import argparse
 import json
 import os
 from unittest import mock
@@ -7,8 +8,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from sfsampler import harness, load_batch
-from sfsampler.cli import main
+from sfsampler import DriftEvaluator, harness, load_batch
+from sfsampler.cli import build_parser, main
+from sfsampler.config import RUN_KEYS
 
 GOOD = """[target]
 kind = mixture
@@ -214,6 +216,43 @@ def test_scoring_commands_need_a_ground_truth_sampler_before_any_run(tmp_path, c
     assert "ground truth" in payload["message"]
     assert not run.called
     assert not os.path.exists(out)
+
+
+def test_mc_sweep_without_mc_size_is_exit_4_before_any_file(tmp_path, capsys):
+    cfg = _write(tmp_path, GOOD.replace("mc_size = 8\n", ""))
+    out = os.path.join(tmp_path, "o")
+    with mock.patch.object(harness, "sfs_run", side_effect=AssertionError("sampler ran")) as run:
+        assert main(["sweep", "--config", cfg, "--out", out]) == 4
+    payload = _json_out(capsys)
+    assert payload["error"] == "ValueError"
+    assert "(mc_size) must be a positive integer" in payload["message"]
+    assert not run.called
+    assert not os.path.exists(out)
+
+
+def test_drift_check_needs_the_closed_form_before_any_mc_batch(tmp_path, capsys):
+    cfg = _write(tmp_path, SINGULAR)
+    with mock.patch.object(DriftEvaluator, "batch", autospec=True,
+                           side_effect=AssertionError("batch ran")) as batch:
+        assert main(["drift-check", "--config", cfg]) == 4
+    assert _json_out(capsys) == {
+        "error": "UnsupportedTargetError",
+        "exit": 4,
+        "message": "closed-form drift needs a mixture target, 'bump' has none",
+    }
+    assert not batch.called
+
+
+def test_every_subcommand_takes_the_shared_flags():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["sample", "drift-check", "sweep", "compare", "regularity"]
+    overrides = {"--" + key.replace("_", "-") for key, kind in RUN_KEYS.items() if kind != "bool"}
+    for name, parser in sub.choices.items():
+        flags = {flag: action for action in parser._actions for flag in action.option_strings}
+        assert {"--config", "--out", "--workers"} | overrides <= set(flags), name
+        assert flags["--config"].required, name
+        assert flags["--out"].required == (name in ("sample", "sweep", "compare")), name
+        assert ("--trajectory" in flags) == (name == "sample"), name
 
 
 @pytest.mark.parametrize("command, text", [

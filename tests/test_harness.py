@@ -1,8 +1,10 @@
 """Harness: sweep artifacts, byte-stable reruns, cell isolation, and the
 budget-matched comparison."""
 
+import dataclasses
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ import pytest
 from sfsampler import (
     ExperimentPlan,
     SamplerConfig,
+    UnsupportedTargetError,
     compare_samplers,
     gaussian_mixture_target,
+    harness,
     mode_mass_balance,
     run_experiment,
 )
@@ -160,6 +164,17 @@ def test_compare_samplers_budget_validation(tmp_path):
     exact_cfg = SamplerConfig(steps=10, particles=64, seed=5)
     with pytest.raises(ValueError):
         compare_samplers(MIX, exact_cfg, ula_step_size=0.05, ula_burn_in=10)
+
+
+def test_compare_samplers_needs_a_gradient_before_any_run(tmp_path):
+    no_grad = dataclasses.replace(MIX, grad_log_f=None)
+    cfg = SamplerConfig(steps=10, particles=64, seed=5, drift="mc-stein", mc_size=8)
+    out = os.path.join(tmp_path, "cmp")
+    with mock.patch.object(harness, "sfs_run", side_effect=AssertionError("sampler ran")) as run:
+        with pytest.raises(UnsupportedTargetError, match="Langevin needs grad log f"):
+            compare_samplers(no_grad, cfg, ula_step_size=0.05, ula_burn_in=20, out_dir=out)
+    assert not run.called
+    assert not os.path.exists(out)
 
 
 def test_compare_samplers_report(tmp_path):

@@ -15,10 +15,12 @@ from sfsampler import (
     SamplerConfig,
     TargetSpec,
     UnsupportedTargetError,
+    config_digest,
     from_potential,
     gaussian,
     gaussian_mixture_target,
     quartic_bump,
+    rng,
     sample_ground_truth,
     save_batch,
     sfs_run,
@@ -155,6 +157,21 @@ def test_nonfinite_drift_is_reported_with_context():
         sfs_run(cfg, bad)
     assert err.value.step_index == 0
     assert err.value.particle_index is not None
+    assert str(err.value) == "particle 0 became non-finite after step 0"
+
+
+def test_nonfinite_langevin_chain_is_the_first_bad_one():
+    # The gradient is NaN only right of 1, so the chains that start there fail first.
+    cut = from_potential(lambda x: 0.5 * np.sum(x * x, axis=1),
+                         lambda x: np.where(x > 1.0, np.nan, x), dim=1, name="cut")
+    cfg = SamplerConfig(steps=3, particles=50, seed=4)
+    start = rng.substream(4, rng.ROLE_ULA_INIT, 0).standard_normal((50, 1))
+    first = int(np.argmax(start[:, 0] > 1.0))
+    assert first > 0
+    with pytest.raises(NonFiniteStateError) as err:
+        ula_run(cfg, cut, step_size=0.1, burn_in=0)
+    assert (err.value.particle_index, err.value.step_index) == (first, 0)
+    assert str(err.value) == f"Langevin chain {first} became non-finite after iteration 0"
 
 
 def test_failed_run_leaves_no_worker_running():
@@ -273,6 +290,18 @@ def test_regularized_run_tracks_the_regularized_law():
     var_want = (1 - eps) * (9.0 / 7.0) + eps * 1.0
     assert abs(batch.samples.mean()) < 0.05
     assert abs(batch.samples.var() - var_want) < 0.08
+
+
+def test_every_batch_digest_covers_its_config():
+    cfg = SamplerConfig(steps=3, particles=8, seed=2, drift="mc-grad", mc_size=4)
+    for batch in (
+        sfs_run(cfg, MIX),
+        sfs_trajectory(cfg, MIX),
+        ula_run(cfg, MIX, step_size=0.1, burn_in=2),
+        sample_ground_truth(MIX, 8, 2),
+    ):
+        assert batch.config_digest == config_digest(batch.config)
+        assert batch.wallclock >= 0.0
 
 
 def test_ground_truth_and_run_share_nothing_but_the_seed_policy():

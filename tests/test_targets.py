@@ -1,6 +1,7 @@
 """Targets: frozen density values, gradients against finite differences,
 regularization algebra, and the options-dict registry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -212,6 +213,33 @@ def test_ground_truth_needs_a_sampler():
     )
     with pytest.raises(UnsupportedTargetError):
         sample_ground_truth(t, 10, 0)
+
+
+def test_params_a_digest_cannot_hold_fail_before_any_run():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        from_potential(lambda x: 0.5 * np.sum(x * x, axis=1), None, dim=1,
+                       params={"mean": np.zeros(1)})
+
+
+def test_ground_truth_rejects_a_transposed_sampler():
+    # A (dim, n) draw would reshape silently into scrambled (n, dim) points.
+    mix = gaussian_mixture_target([0.5, 0.5], [[2.0, 0.0], [-2.0, 1.0]])
+    transposed = dataclasses.replace(mix, sampler=lambda n, gen: mix.sampler(n, gen).T)
+    with pytest.raises(UnsupportedTargetError, match="sampler returned shape"):
+        sample_ground_truth(transposed, 5, 0)
+
+
+def test_eval_log_f_rejects_a_column_log_f():
+    column = dataclasses.replace(MIX, log_f=lambda x: MIX.log_f(x)[:, None])
+    with pytest.raises(UnsupportedTargetError, match="log_f returned shape"):
+        eval_log_f(column, np.zeros((4, 1)))
+
+
+def test_eval_grad_log_f_rejects_a_flat_gradient_at_one_point():
+    mix = gaussian_mixture_target([0.5, 0.5], [[2.0, 0.0], [-2.0, 1.0]])
+    flat = dataclasses.replace(mix, grad_log_f=lambda x: mix.grad_log_f(x)[:, 0])
+    with pytest.raises(UnsupportedTargetError, match="grad_log_f returned shape"):
+        eval_grad_log_f(flat, np.zeros(2))
 
 
 @pytest.mark.parametrize(
