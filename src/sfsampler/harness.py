@@ -106,6 +106,8 @@ def run_experiment(plan, out_dir):
         raise ValueError(
             "an mc_size sweep needs a Monte-Carlo drift mode; the closed-form drift ignores m"
         )
+    if plan.axis in ("steps", "particles"):
+        plan.base.eps.bind(ev.m)  # every cell binds the floor to this m; the closed form has none
 
     plan_desc = plan.describe()
     plan_digest = config_digest(plan_desc)

@@ -230,6 +230,19 @@ def test_mc_sweep_without_mc_size_is_exit_4_before_any_file(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_m_driven_eps_sweep_with_the_closed_form_is_exit_4_before_any_file(tmp_path, capsys):
+    text = GOOD.replace("drift = mc-grad\nmc_size = 8\n", "eps_rule = log\n")
+    cfg = _write(tmp_path, text)
+    out = os.path.join(tmp_path, "o")
+    with mock.patch.object(harness, "sfs_run", side_effect=AssertionError("sampler ran")) as run:
+        assert main(["sweep", "--config", cfg, "--out", out]) == 4
+    payload = _json_out(capsys)
+    assert payload["error"] == "ValueError"
+    assert "driven by the Monte-Carlo batch size" in payload["message"]
+    assert not run.called
+    assert not os.path.exists(os.path.join(out, "plan.json"))
+
+
 def test_drift_check_needs_the_closed_form_before_any_mc_batch(tmp_path, capsys):
     cfg = _write(tmp_path, SINGULAR)
     with mock.patch.object(DriftEvaluator, "batch", autospec=True,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sfsampler import (
+    EpsSchedule,
     ExperimentPlan,
     SamplerConfig,
     UnsupportedTargetError,
@@ -120,6 +121,26 @@ def test_mc_size_axis_needs_an_mc_mode(tmp_path):
         with pytest.raises(ValueError, match="mc_size sweep"):
             run_experiment(plan, out)
         assert not os.path.exists(os.path.join(out, "plan.json"))
+
+
+@pytest.mark.parametrize("rule", ["log", "power"])
+def test_m_driven_eps_needs_a_monte_carlo_base_before_any_file(tmp_path, rule):
+    eps = EpsSchedule(rule)
+    # The closed-form drift has no m to bind the floor to, so every cell would fail.
+    for axis in ("steps", "particles"):
+        out = os.path.join(tmp_path, axis)
+        plan = _tiny_plan(axis=axis, values=(8, 16, 32),
+                          base=SamplerConfig(steps=4, particles=32, seed=3, eps=eps))
+        with mock.patch.object(harness, "sfs_run", side_effect=AssertionError("sampler ran")):
+            with pytest.raises(ValueError, match="driven by the Monte-Carlo batch size"):
+                run_experiment(plan, out)
+        assert not os.path.exists(out)
+    # On the mc_size axis each cell binds the floor to its own m.
+    plan = _tiny_plan(axis="mc_size", values=(4, 8, 16), replications=3,
+                      base=SamplerConfig(steps=2, particles=16, seed=3, drift="mc-grad",
+                                         mc_size=1, eps=eps))
+    summary = run_experiment(plan, os.path.join(tmp_path, "mc_size"))
+    assert summary["failures"] == {}
 
 
 def test_sliced_metric_on_a_2d_target(tmp_path):
