@@ -124,15 +124,24 @@ def save_batch(batch, out_dir, stem="samples"):
 
 
 def load_batch(csv_path):
-    """Read a batch back from its CSV (and sidecar, if present)."""
+    """Read a batch back from its CSV (and sidecar, if present).
+
+    A batch with no rows keeps the width its ``x0,x1,...`` header line names.
+    """
     with open(csv_path) as fh:
         digest_line = fh.readline().strip()
         seed_line = fh.readline().strip()
-    if not digest_line.startswith("# config_digest:") or not seed_line.startswith("# seed:"):
-        raise ValueError(f"{csv_path} does not look like a sample CSV")
+        if not digest_line.startswith("# config_digest:") or not seed_line.startswith("# seed:"):
+            raise ValueError(f"{csv_path} does not look like a sample CSV")
+        columns = fh.readline().strip().split(",")
+        data_start = fh.tell()
+        if fh.read(1):
+            fh.seek(data_start)
+            samples = np.loadtxt(fh, delimiter=",", ndmin=2)
+        else:
+            samples = np.empty((0, len(columns)))
     digest = digest_line.split(":", 1)[1].strip()
     seed = int(seed_line.split(":", 1)[1].strip())
-    samples = np.loadtxt(csv_path, delimiter=",", skiprows=3, ndmin=2)
     sidecar_path = os.path.splitext(csv_path)[0] + ".json"
     config = {}
     wallclock = float("nan")

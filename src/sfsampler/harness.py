@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import rng as _rng
 from .batches import config_digest, rate_table_csv, save_batch, write_json
@@ -178,9 +177,16 @@ def mode_mass_balance(samples, mixture):
     A sampler that loses a mode shows up as a large max_abs_error here
     even when scalar metrics look tolerable.
     """
-    d = cdist(np.asarray(samples, dtype=float), mixture.means)
-    assign = np.argmin(d, axis=1)
-    frac = np.bincount(assign, minlength=mixture.n_components) / samples.shape[0]
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 2 or x.shape[1] != mixture.dim:
+        raise ValueError(f"samples must be (n, {mixture.dim}), got shape {x.shape}")
+    sq = np.zeros((x.shape[0], mixture.n_components))
+    for j in range(mixture.dim):
+        sq += (x[:, j, None] - mixture.means[None, :, j]) ** 2
+    # Compare roots, as scipy's cdist does: squared distances one ulp apart
+    # can share a root, and then they tie and the lower index wins.
+    assign = np.argmin(np.sqrt(sq), axis=1)
+    frac = np.bincount(assign, minlength=mixture.n_components) / x.shape[0]
     return {
         "fractions": [float(v) for v in frac],
         "max_abs_error": float(np.max(np.abs(frac - mixture.weights))),

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from . import rng as _rng
 from .errors import UnsupportedTargetError, check_int
@@ -107,8 +105,14 @@ def exact_w2_assignment(x, y):
 
     The cost matrix is squared Euclidean distance and the assignment is
     solved exactly, so this is the true W2 between the empirical measures.
-    Guarded to n <= 512 because the solver is cubic in n.
+    Guarded to n <= 512 because the solver is cubic in n. The solver and
+    the cost matrix are scipy's, imported here rather than with the
+    package: the first call pays the import of ``scipy.optimize`` and
+    ``scipy.spatial``, and no other metric or command loads them.
     """
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     x = _sample_2d(x)
     y = _sample_2d(y)
     if x.shape != y.shape:

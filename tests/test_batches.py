@@ -3,8 +3,10 @@ lossless round trip through ``load_batch``."""
 
 import io
 import tempfile
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,3 +59,14 @@ def test_load_batch_round_trips_every_finite_value_bit_for_bit(values):
     assert np.array_equal(np.isnan(back.samples), np.isnan(values))
     assert np.array_equal(back.samples[np.isinf(values)], values[np.isinf(values)])
     assert (back.config_digest, back.seed) == (batch.config_digest, 11)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_load_batch_keeps_the_width_of_an_empty_batch(dim):
+    batch = SampleBatch(np.empty((0, dim)), {}, config_digest({}), 5, 0.0)
+    with tempfile.TemporaryDirectory() as out:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = load_batch(save_batch(batch, out)["csv"])
+    assert back.samples.shape == (0, dim)
+    assert (back.config_digest, back.seed) == (batch.config_digest, 5)

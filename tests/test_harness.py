@@ -8,6 +8,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from sfsampler import (
     EpsSchedule,
@@ -174,6 +177,33 @@ def test_mode_mass_balance_counts_nearest_means():
     report = mode_mass_balance(samples, MIX.mixture)
     assert report["fractions"] == [0.5, 0.5]
     assert report["max_abs_error"] == 0.0
+
+
+def test_mode_mass_balance_gives_a_bisector_point_to_the_lower_index():
+    for means in ([[2.0], [-2.0]], [[-2.0], [2.0]]):
+        mix = gaussian_mixture_target([0.5, 0.5], means)
+        assert mode_mass_balance(np.array([[0.0]]), mix.mixture)["fractions"] == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("samples", [np.zeros((3, 2)), np.zeros(3)], ids=["2-D", "flat"])
+def test_mode_mass_balance_rejects_samples_of_another_width(samples):
+    with pytest.raises(ValueError):
+        mode_mass_balance(samples, MIX.mixture)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_mode_mass_balance_matches_the_nearest_mean_by_cdist(p, k, n, seed):
+    """Random points plus exact bisector points of small-integer means (so
+    several means tie and the lower index must win), against cdist's argmin."""
+    gen = np.random.default_rng(seed)
+    means = gen.integers(-4, 5, size=(k, p)).astype(float)
+    pairs = gen.integers(0, k, size=(n, 2))
+    bisectors = 0.5 * (means[pairs[:, 0]] + means[pairs[:, 1]])
+    samples = np.vstack([gen.normal(0.0, 3.0, size=(n, p)), bisectors])
+    mix = gaussian_mixture_target(np.full(k, 1.0 / k), means)
+    expected = np.bincount(np.argmin(cdist(samples, means), axis=1), minlength=k) / len(samples)
+    assert mode_mass_balance(samples, mix.mixture)["fractions"] == expected.tolist()
 
 
 def test_compare_samplers_budget_validation(tmp_path):
