@@ -54,10 +54,10 @@ def build_parser():
         description="Diffusion-based sampler for unnormalized targets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, need_out, text) in COMMANDS.items():
+    for name, (func, report, text) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="INI config file")
-        p.add_argument("--out", required=need_out, help="output directory")
+        p.add_argument("--out", required=report is None, help="output directory")
         for key, kind in RUN_KEYS.items():
             if kind != "bool":  # record_trajectory is sample's --trajectory
                 p.add_argument("--" + key.replace("_", "-"), type=int if kind == "int" else str,
@@ -68,7 +68,7 @@ def build_parser():
                 "--trajectory", dest="record_trajectory", action="store_const", const=True,
                 help="record and save full paths",
             )
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, report=report)
     return parser
 
 
@@ -96,18 +96,15 @@ def _cmd_sample(args):
     write_resolved_ini(os.path.join(args.out, "resolved.ini"), target, config)
     if batch.trajectories is not None:
         np.save(os.path.join(args.out, "trajectories.npy"), batch.trajectories)
-    _emit(
-        {
-            "command": "sample",
-            "config_digest": batch.config_digest,
-            "csv": paths["csv"],
-            "dim": batch.dim,
-            "n": batch.n,
-            "out": args.out,
-            "wallclock": batch.wallclock,
-        }
-    )
-    return EXIT_OK
+    return {
+        "command": "sample",
+        "config_digest": batch.config_digest,
+        "csv": paths["csv"],
+        "dim": batch.dim,
+        "n": batch.n,
+        "out": args.out,
+        "wallclock": batch.wallclock,
+    }
 
 
 def _mc_evaluator(target, config, workers):
@@ -137,7 +134,7 @@ def _cmd_drift_check(args):
         rms = float(np.sqrt(np.mean(err**2)))
         worst = max(worst, float(err.max()))
         cells.append({"t": float(t), "rms": rms, "max": float(err.max())})
-    report = {
+    return {
         "command": "drift-check",
         "cells": cells,
         "max_error": worst,
@@ -147,10 +144,6 @@ def _cmd_drift_check(args):
         "seed": config.seed,
         "target": target.name,
     }
-    if args.out:
-        write_json(os.path.join(args.out, "drift_check.json"), report)
-    _emit(report)
-    return EXIT_OK
 
 
 def _cmd_sweep(args):
@@ -158,17 +151,14 @@ def _cmd_sweep(args):
     plan = replace(plan_from_config(sections, base), workers=args.workers)
     summary = run_experiment(plan, args.out)
     write_resolved_ini(os.path.join(args.out, "resolved.ini"), target, base, plan=plan)
-    _emit(
-        {
-            "command": "sweep",
-            "cells": len(summary["cells"]),
-            "failures": summary["failures"],
-            "fit": summary["fit"],
-            "out": args.out,
-            "plan_digest": summary["plan_digest"],
-        }
-    )
-    return EXIT_OK
+    return {
+        "command": "sweep",
+        "cells": len(summary["cells"]),
+        "failures": summary["failures"],
+        "fit": summary["fit"],
+        "out": args.out,
+        "plan_digest": summary["plan_digest"],
+    }
 
 
 def _cmd_compare(args):
@@ -184,8 +174,7 @@ def _cmd_compare(args):
         workers=args.workers,
     )
     write_resolved_ini(os.path.join(args.out, "resolved.ini"), target, config, ula=ula)
-    _emit({"command": "compare", "out": args.out, **report})
-    return EXIT_OK
+    return {"command": "compare", "out": args.out, **report}
 
 
 def _cmd_regularity(args):
@@ -203,19 +192,18 @@ def _cmd_regularity(args):
             "c0_bound": float(b_sup_bound**2),
             "c0_ok": bool(estimate.c0_hat <= b_sup_bound**2),
         }
-    if args.out:
-        write_json(os.path.join(args.out, "regularity.json"), report)
-    _emit(report)
-    return EXIT_OK
+    return report
 
 
-# name: (handler, whether --out is required, help), in --help order.
+# name: (handler, report file or None, help), in --help order. --out is
+# optional where a report file is named, and main saves the report there.
 COMMANDS = {
-    "sample": (_cmd_sample, True, "run the sampler and write a batch"),
-    "drift-check": (_cmd_drift_check, False, "Monte-Carlo drift against the closed form on a grid"),
-    "sweep": (_cmd_sweep, True, "run the [plan] sweep from the config"),
-    "compare": (_cmd_compare, True, "budget-matched Langevin comparison"),
-    "regularity": (_cmd_regularity, False, "probe drift growth constants"),
+    "sample": (_cmd_sample, None, "run the sampler and write a batch"),
+    "drift-check": (_cmd_drift_check, "drift_check.json",
+                    "Monte-Carlo drift against the closed form on a grid"),
+    "sweep": (_cmd_sweep, None, "run the [plan] sweep from the config"),
+    "compare": (_cmd_compare, None, "budget-matched Langevin comparison"),
+    "regularity": (_cmd_regularity, "regularity.json", "probe drift growth constants"),
 }
 
 
@@ -243,7 +231,11 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        return args.func(args)
+        payload = args.func(args)
+        if args.report and args.out:
+            write_json(os.path.join(args.out, args.report), payload)
+        _emit(payload)
+        return EXIT_OK
     except ConfigError as exc:
         _emit(_error_payload(exc, EXIT_CONFIG))
         return EXIT_CONFIG

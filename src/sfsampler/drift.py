@@ -388,13 +388,11 @@ def estimate_regularity(target, grid=None, seed=0, evaluator=None):
     b_sup = float(np.sqrt(np.max(norms_sq)))
 
     # Difference quotients are quadratic in the number of probes, so cap
-    # the pair set with an evenly spaced subsample on big grids.
+    # the pair set with an evenly spaced subsample of at most 512 rows; a
+    # smaller grid keeps every row, in order.
     total = all_b.shape[0]
-    if total > 512:
-        idx = np.unique(np.linspace(0, total - 1, 512).astype(int))
-        sel_b, sel_x, sel_t = all_b[idx], all_x[idx], all_t[idx]
-    else:
-        sel_b, sel_x, sel_t = all_b, all_x, all_t
+    idx = np.unique(np.linspace(0, total - 1, min(total, 512)).astype(int))
+    sel_b, sel_x, sel_t = all_b[idx], all_x[idx], all_t[idx]
     diff_b = np.linalg.norm(sel_b[:, None, :] - sel_b[None, :, :], axis=2)
     diff_x = np.linalg.norm(sel_x[:, None, :] - sel_x[None, :, :], axis=2)
     diff_t = np.sqrt(np.abs(sel_t[:, None] - sel_t[None, :]))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng as _rng
 from .batches import config_digest, rate_table_csv, save_batch, write_json
-from .metrics import W2_METRICS, fit_rate, w2_score
+from .metrics import ASSIGNMENT_MAX_POINTS, W2_METRICS, fit_rate, w2_score
 from .drift import DriftEvaluator
 from .errors import UnsupportedTargetError, check_int, check_real
 from .sampler import EpsSchedule, SamplerConfig, sfs_run, ula_run
@@ -107,6 +107,10 @@ def run_experiment(plan, out_dir):
         )
     if plan.axis in ("steps", "particles"):
         plan.base.eps.bind(ev.m)  # every cell binds the floor to this m; the closed form has none
+    sizes = plan.values if plan.axis == "particles" else (plan.base.particles,)
+    if plan.metric == "assignment" and min(sizes) > ASSIGNMENT_MAX_POINTS:
+        raise ValueError(f"metric assignment is limited to {ASSIGNMENT_MAX_POINTS} particles, "
+                         "and every cell has more")
 
     plan_desc = plan.describe()
     plan_digest = config_digest(plan_desc)

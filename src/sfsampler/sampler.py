@@ -27,7 +27,7 @@ from .batches import SampleBatch
 from .drift import _CHUNK_VALUES  # noqa: F401 - bench/replay.py chunks its replay by it
 from .drift import DRIFT_MODES, DriftEvaluator
 from .errors import NonFiniteStateError, UnsupportedTargetError, check_int, check_real
-from .targets import _returned, describe, regularize
+from .targets import _record, _returned, regularize
 
 DEFAULT_TRAJECTORY_BUDGET = 1 << 27  # float64 values, about 1 GiB
 
@@ -158,14 +158,8 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
         ev = dataclasses.replace(ev, target=regularize(target, eps))
 
     n, p, k_steps = config.particles, target.dim, config.steps
-    resolved = {
-        "algorithm": "sfs",
-        "drift_resolved": ev.mode,
-        "eps_resolved": eps,
-        "sampler": dataclasses.asdict(config),
-        "stream_policy": _rng.STREAM_POLICY,
-        "target": describe(target),
-    }
+    resolved = _record(target, algorithm="sfs", drift_resolved=ev.mode, eps_resolved=eps,
+                       sampler=dataclasses.asdict(config))
 
     trajectories = None
     if config.record_trajectory:
@@ -227,13 +221,8 @@ def ula_run(config, target, step_size, burn_in):
 
     n, p = config.particles, target.dim
     total = burn_in + config.steps
-    resolved = {
-        "algorithm": "ula",
-        "sampler": dataclasses.asdict(config),
-        "stream_policy": _rng.STREAM_POLICY,
-        "target": describe(target),
-        "ula": {"burn_in": burn_in, "step_size": step_size, "total_steps": total},
-    }
+    resolved = _record(target, algorithm="ula", sampler=dataclasses.asdict(config),
+                       ula={"burn_in": burn_in, "step_size": step_size, "total_steps": total})
 
     start = time.perf_counter()
     x = _rng.substream(config.seed, _rng.ROLE_ULA_INIT, 0).standard_normal((n, p))

@@ -261,6 +261,11 @@ def describe(target):
     }
 
 
+def _record(target, **fields):
+    """A batch's resolved record: ``fields``, the stream policy and ``describe(target)``."""
+    return {**fields, "stream_policy": _rng.STREAM_POLICY, "target": describe(target)}
+
+
 def eval_log_f(target, x):
     """Log density ratio log f(x), including the declared scale shift.
 
@@ -301,13 +306,7 @@ def sample_ground_truth(target, n, seed):
     gen = _rng.substream(seed, _rng.ROLE_GROUND_TRUTH, 0)
     start = time.perf_counter()
     samples = _returned(target, "sampler", target.sampler(n, gen), (n, target.dim))
-    config = {
-        "kind": "ground-truth",
-        "n": n,
-        "seed": seed,
-        "stream_policy": _rng.STREAM_POLICY,
-        "target": describe(target),
-    }
+    config = _record(target, kind="ground-truth", n=n, seed=seed)
     return SampleBatch.record(samples.astype(float, copy=False), config, seed, start)
 
 
@@ -480,12 +479,10 @@ def quartic_bump(radius=3.0, regularity=None):
         return log_norm + shape + 0.5 * x * x + _HALF_LOG_2PI
 
     def grad_log_f(pts):
-        x = pts[:, 0]
+        x = pts[:, :1]
         gap = a * a - x * x
-        out = np.zeros_like(pts)
-        ok = gap > 0.0
-        out[ok, 0] = -4.0 * x[ok] / gap[ok] + x[ok]
-        return out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(gap > 0.0, -4.0 * x / gap + x, 0.0)
 
     def sampler(n, gen):
         out = np.empty(n)

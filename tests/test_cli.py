@@ -243,6 +243,19 @@ def test_m_driven_eps_sweep_with_the_closed_form_is_exit_4_before_any_file(tmp_p
     assert not os.path.exists(os.path.join(out, "plan.json"))
 
 
+def test_assignment_sweep_over_its_size_limit_is_exit_4_before_any_file(tmp_path, capsys):
+    text = GOOD.replace("particles = 128", "particles = 1000")
+    cfg = _write(tmp_path, text.replace("metric = w2_1d", "metric = assignment"))
+    out = os.path.join(tmp_path, "o")
+    with mock.patch.object(harness, "sfs_run", side_effect=AssertionError("sampler ran")) as run:
+        assert main(["sweep", "--config", cfg, "--out", out]) == 4
+    payload = _json_out(capsys)
+    assert payload["error"] == "ValueError"
+    assert "limited to 512 particles" in payload["message"]
+    assert not run.called
+    assert not os.path.exists(os.path.join(out, "plan.json"))
+
+
 def test_drift_check_needs_the_closed_form_before_any_mc_batch(tmp_path, capsys):
     cfg = _write(tmp_path, SINGULAR)
     with mock.patch.object(DriftEvaluator, "batch", autospec=True,
@@ -280,6 +293,18 @@ def test_check_commands_print_the_same_bytes_on_two_threads(tmp_path, capsys, co
         assert main([command, "--config", cfg, "--workers", workers]) == 0
         stdout.append(capsys.readouterr().out)
     assert stdout[0] == stdout[1]
+
+
+@pytest.mark.parametrize("command, report", [
+    ("drift-check", "drift_check.json"),
+    ("regularity", "regularity.json"),
+])
+def test_check_commands_save_exactly_the_report_they_print(tmp_path, capsys, command, report):
+    cfg = _write(tmp_path, GOOD)
+    out = os.path.join(tmp_path, "o")
+    assert main([command, "--config", cfg, "--out", out, "--workers", "2"]) == 0
+    with open(os.path.join(out, report), "rb") as fh:
+        assert fh.read() == capsys.readouterr().out.encode()
 
 
 def test_mixture_weights_message_shows_a_plain_number(tmp_path, capsys):

@@ -146,6 +146,30 @@ def test_m_driven_eps_needs_a_monte_carlo_base_before_any_file(tmp_path, rule):
     assert summary["failures"] == {}
 
 
+@pytest.mark.parametrize("axis, values", [
+    ("steps", (2, 4, 8)), ("eps", (0.1, 0.2, 0.3)), ("particles", (513, 600, 1000)),
+])
+def test_assignment_sweep_with_every_cell_over_its_limit_fails_before_any_file(
+        tmp_path, axis, values):
+    plan = _tiny_plan(axis=axis, values=values, metric="assignment",
+                      base=SamplerConfig(steps=4, particles=1000, seed=3))
+    out = os.path.join(tmp_path, "sweep")
+    with mock.patch.object(harness, "sfs_run", side_effect=AssertionError("sampler ran")) as run:
+        with pytest.raises(ValueError, match="limited to 512 particles"):
+            run_experiment(plan, out)
+    assert not run.called
+    assert not os.path.exists(out)
+
+
+def test_assignment_particles_sweep_runs_the_cells_within_its_limit(tmp_path):
+    plan = _tiny_plan(axis="particles", values=(16, 512, 513), metric="assignment",
+                      base=SamplerConfig(steps=2, particles=1000, seed=3))
+    summary = run_experiment(plan, os.path.join(tmp_path, "sweep"))
+    assert [c["value"] for c in summary["cells"]] == [16, 512]
+    assert list(summary["failures"]) == ["513"]
+    assert "limited to 512 points, got 513" in summary["failures"]["513"]
+
+
 def test_sliced_metric_on_a_2d_target(tmp_path):
     plan = _tiny_plan(
         target_options={

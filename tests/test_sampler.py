@@ -1,13 +1,17 @@
 """Integrator: exactness on degenerate drifts, schedule binding, determinism,
 trajectories, failure reporting, and the Langevin baseline."""
 
+import dataclasses
 import math
 import os
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfsampler import (
     EpsSchedule,
@@ -19,6 +23,7 @@ from sfsampler import (
     from_potential,
     gaussian,
     gaussian_mixture_target,
+    gaussian_potential,
     quartic_bump,
     rng,
     sample_ground_truth,
@@ -28,8 +33,10 @@ from sfsampler import (
     standard_gaussian,
     ula_run,
 )
+from sfsampler import drift as _drift
 
 MIX = gaussian_mixture_target([0.5, 0.5], [[2.0], [-2.0]])
+MIX2 = gaussian_mixture_target([0.3, 0.7], [[1.0, -2.0], [-1.5, 0.5]])
 
 
 def _moment_bands_ok(samples, mean, n):
@@ -117,6 +124,41 @@ def test_worker_count_does_not_change_results():
     one = sfs_run(cfg, MIX, workers=1)
     many = sfs_run(cfg, MIX, workers=8)
     assert np.array_equal(one.samples, many.samples)
+
+
+# (target, drift, eps): the closed form and both Monte-Carlo forms on a
+# mixture, a floored compact bump, and a target known only through log f.
+PREFIX_CASES = [
+    (MIX2, "exact", EpsSchedule()),
+    (MIX2, "mc-grad", EpsSchedule()),
+    (MIX2, "mc-stein", EpsSchedule()),
+    (quartic_bump(3.0), "mc-grad", EpsSchedule.parse("fixed:0.2")),
+    (gaussian_potential([0.5, -1.0]), "mc-stein", EpsSchedule()),
+]
+
+
+@st.composite
+def prefix_cases(draw):
+    target, drift, eps = draw(st.sampled_from(PREFIX_CASES))
+    n1 = draw(st.integers(2, 100))
+    config = SamplerConfig(
+        steps=draw(st.integers(1, 3)), particles=draw(st.integers(1, n1 - 1)),
+        seed=draw(st.integers(0, 2**64)), drift=drift,
+        mc_size=None if drift == "exact" else draw(st.integers(1, 32)), eps=eps,
+    )
+    return dict(target=target, config=config, n1=n1, workers=draw(st.integers(1, 3)),
+                chunk_values=draw(st.sampled_from([1, 200, _drift._CHUNK_VALUES])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(prefix_cases())
+def test_a_particle_ends_alike_whatever_the_particle_and_worker_counts(case):
+    small = sfs_run(case["config"], case["target"]).samples
+    bigger = dataclasses.replace(case["config"], particles=case["n1"])
+    # Small tiles make a run of at most 100 particles share its drift among the workers.
+    with mock.patch.object(_drift, "_CHUNK_VALUES", case["chunk_values"]):
+        big = sfs_run(bigger, case["target"], workers=case["workers"]).samples
+    assert big[: len(small)].tobytes() == small.tobytes()
 
 
 @pytest.mark.parametrize("workers", [0, -3, 1.5, True, "2"])
@@ -302,6 +344,17 @@ def test_every_batch_digest_covers_its_config():
     ):
         assert batch.config_digest == config_digest(batch.config)
         assert batch.wallclock >= 0.0
+
+
+def test_batch_records_keep_their_golden_digests():
+    cfg = SamplerConfig(steps=4, particles=8, seed=11, drift="mc-grad", mc_size=16,
+                        eps=EpsSchedule(rule="fixed", value=0.1))
+    assert sfs_run(cfg, MIX2).config_digest == (
+        "7493a3fcbb83bc5f034b1dcfbf129feb2596e8f52e31488b7aff55a5d1198818")
+    assert ula_run(SamplerConfig(steps=5, particles=8, seed=12), MIX2, 0.05, 3).config_digest == (
+        "08e43daded295448d79d75d36583783c852e20e2cac2ae267b2238401be5bce2")
+    assert sample_ground_truth(quartic_bump(3.0), 8, 13).config_digest == (
+        "3a97ea97bc18a9c52641e51773eedfbd178f4da938e35ff1ba14c9edfd416402")
 
 
 def test_ground_truth_and_run_share_nothing_but_the_seed_policy():

@@ -3,6 +3,7 @@ regularization algebra, and the options-dict registry."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,18 @@ def test_bump_is_zero_outside_support():
     x = np.array([[3.5], [-4.0], [100.0]])
     assert np.all(np.isneginf(b.log_f(x)))
     assert np.all(np.isfinite(b.grad_log_f(x)))
+
+
+def test_bump_gradient_at_the_edge_of_its_support():
+    b = quartic_bump(3.0)
+    edge_in = np.nextafter(3.0, 0.0)
+    x = np.array([[3.0], [-3.0], [np.nextafter(3.0, 4.0)], [5e15], [edge_in], [-edge_in], [0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the division by a zero gap stays silent
+        got = b.grad_log_f(x)
+    assert got.shape == (7, 1)
+    assert np.array_equal(got[:4], np.zeros((4, 1)))
+    assert np.array_equal(got[4:], -4.0 * x[4:] / (9.0 - x[4:] * x[4:]) + x[4:])
 
 
 @pytest.mark.parametrize(
