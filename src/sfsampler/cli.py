@@ -21,6 +21,7 @@ import numpy as np
 from .batches import dump_json, save_batch, write_json
 from .config import (
     RUN_KEYS,
+    VALUE_TYPES,
     plan_from_config,
     read_ini,
     sampler_from_config,
@@ -60,7 +61,7 @@ def build_parser():
         p.add_argument("--out", required=report is None, help="output directory")
         for key, kind in RUN_KEYS.items():
             if kind != "bool":  # record_trajectory is sample's --trajectory
-                p.add_argument("--" + key.replace("_", "-"), type=int if kind == "int" else str,
+                p.add_argument("--" + key.replace("_", "-"), type=VALUE_TYPES[kind],
                                help=f"override [run] {key}")
         p.add_argument("--workers", type=int, default=1, help="drift evaluation threads (>= 1)")
         if name == "sample":
@@ -75,14 +76,21 @@ def build_parser():
 def _load(args):
     """Read the run file: its sections, the target, and the sampler config.
 
-    Every subcommand starts here, so --workers below 1 exits 4 before any
-    work. Each [run] key whose flag was given overrides the file's value.
+    Every subcommand starts here, so --workers below 1 exits 4 and an --out
+    that cannot become a directory exits 2, both before any work. Each [run]
+    key whose flag was given overrides the file's value.
     """
     check_int("workers", args.workers)
     sections = read_ini(args.config)
     target = target_from_config(sections)
     overrides = {key: getattr(args, key, None) for key in RUN_KEYS}
-    return sections, target, sampler_from_config(sections, overrides)
+    config = sampler_from_config(sections, overrides)
+    path = os.path.abspath(args.out or ".")  # the nearest existing path must be a directory
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise NotADirectoryError(f"--out {args.out}: {path} is not a directory")
+    return sections, target, config
 
 
 def _emit(payload):

@@ -18,18 +18,11 @@ from .harness import ExperimentPlan
 from .sampler import EpsSchedule, SamplerConfig
 from .targets import _KINDS, build_target
 
-# Key tables, in the order write_resolved_ini writes each section; the
-# [target] keys are sorted because that section is written from the sorted
-# target.params.
-_TARGET_KEYS = {
-    "dim": "int",
-    "kind": "str",
-    "log_scale": "float",
-    "mean": "floats",
-    "means": "rows",
-    "radius": "float",
-    "weights": "floats",
-}
+# Key tables, in the order write_resolved_ini writes each section; [target]
+# takes "kind" plus every key some kind does (build_target refuses a key of
+# another kind), and is written from the sorted target.params.
+_TARGET_KEYS = {"kind": "str"}
+_TARGET_KEYS.update(pair for _, req, opt in _KINDS.values() for pair in (req | opt).items())
 _REG_KEYS = {"gamma": "float", "xi": "float", "zeta": "float"}
 RUN_KEYS = {
     "seed": "int",
@@ -62,37 +55,32 @@ _SECTIONS = {
 _BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
+def _floats(raw):
+    vals = [float(tok) for tok in raw.replace(",", " ").split()]
+    if not vals:
+        raise ValueError(raw)
+    return vals
+
+
+# Type name -> parser of the stripped text; numbers are split by spaces or
+# commas, rows by semicolons ("2 0; -2 0").
+VALUE_TYPES = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": lambda raw: _BOOL_WORDS[raw.lower()],
+    "floats": _floats,
+    "rows": lambda raw: [_floats(part) for part in raw.split(";")],
+}
+
+
 def _parse_value(section, key, kind, raw):
     raw = raw.strip()
+    parse = VALUE_TYPES[kind]
     try:
-        if kind == "str":
-            return raw
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            try:
-                return _BOOL_WORDS[raw.lower()]
-            except KeyError:
-                raise ValueError(raw) from None
-        if kind == "floats":
-            vals = [float(tok) for tok in raw.replace(",", " ").split()]
-            if not vals:
-                raise ValueError(raw)
-            return vals
-        # rows: semicolon-separated vectors, e.g. "2 0; -2 0"
-        rows = [
-            [float(tok) for tok in part.replace(",", " ").split()]
-            for part in raw.split(";")
-        ]
-        if not rows or any(not r for r in rows):
-            raise ValueError(raw)
-        return rows
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: cannot read {raw!r} as {kind}"
-        ) from None
+        return parse(raw)
+    except (ValueError, KeyError):
+        raise ConfigError(f"[{section}] {key}: cannot read {raw!r} as {kind}") from None
 
 
 def _read_section(cp, name, known):
@@ -116,9 +104,9 @@ def read_ini(path):
     cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
     cp.optionxform = str
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cp.read_string(fh.read(), source=path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
@@ -198,9 +186,8 @@ def _fmt(value):
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple)):
-        if value and isinstance(value[0], (list, tuple)):
-            return "; ".join(" ".join(_fmt(v) for v in row) for row in value)
-        return " ".join(_fmt(v) for v in value)
+        sep = "; " if value and isinstance(value[0], (list, tuple)) else " "
+        return sep.join(_fmt(v) for v in value)
     return str(value)
 
 

@@ -123,15 +123,16 @@ def run_experiment(plan, out_dir):
         try:
             cfg = _cell_config(plan.base, plan.axis, value)
             seeds = _rng.child_seeds(plan.base.seed, ci, 2 * plan.replications + 2)
+            # The floor first: a cell the metric cannot score fails before any run.
+            floor_a = sample_ground_truth(target, cfg.particles, seeds[-2]).samples
+            floor_b = sample_ground_truth(target, cfg.particles, seeds[-1]).samples
+            floor = w2_score(plan.metric, floor_a, floor_b, seeds[-1])
             scores = []
             for r in range(plan.replications):
                 run_cfg = dataclasses.replace(cfg, seed=seeds[2 * r])
                 batch = sfs_run(run_cfg, target, workers=plan.workers)
                 truth = sample_ground_truth(target, cfg.particles, seeds[2 * r + 1])
                 scores.append(w2_score(plan.metric, batch.samples, truth.samples, seeds[2 * r + 1]))
-            floor_a = sample_ground_truth(target, cfg.particles, seeds[-2]).samples
-            floor_b = sample_ground_truth(target, cfg.particles, seeds[-1]).samples
-            floor = w2_score(plan.metric, floor_a, floor_b, seeds[-1])
             scores = np.asarray(scores)
             cells.append(
                 {
@@ -145,15 +146,9 @@ def run_experiment(plan, out_dir):
         except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
             failures[str(value)] = f"{type(exc).__name__}: {exc}"
 
-    rows = [
-        (c["value"], c["replications"], c["w2_mean"], c["w2_se"], c["noise_floor"])
-        for c in cells
-    ]
-    rate_table_csv(
-        os.path.join(out_dir, "cells.csv"),
-        (plan.axis, "replications", "w2_mean", "w2_se", "noise_floor"),
-        rows,
-    )
+    columns = ("value", "replications", "w2_mean", "w2_se", "noise_floor")
+    rate_table_csv(os.path.join(out_dir, "cells.csv"), (plan.axis,) + columns[1:],
+                   [tuple(c[key] for key in columns) for c in cells])
 
     fit = None
     if len(cells) >= 3:

@@ -579,14 +579,14 @@ def gaussian_potential(mean, log_scale=0.0):
     )
 
 
-# kind -> (constructor, required options, optional options); the [target]
-# section of a config file holds "kind" plus exactly these keys.
+# kind -> (constructor, {required option: type}, {optional option: type}); a
+# config's [target] holds "kind" plus exactly these keys, typed as in config.VALUE_TYPES.
 _KINDS = {
-    "standard": (standard_gaussian, (), ("dim",)),
-    "gaussian": (gaussian, ("mean",), ()),
-    "mixture": (gaussian_mixture_target, ("weights", "means"), ()),
-    "bump": (quartic_bump, (), ("radius",)),
-    "gaussian-potential": (gaussian_potential, ("mean",), ("log_scale",)),
+    "standard": (standard_gaussian, {}, {"dim": "int"}),
+    "gaussian": (gaussian, {"mean": "floats"}, {}),
+    "mixture": (gaussian_mixture_target, {"weights": "floats", "means": "rows"}, {}),
+    "bump": (quartic_bump, {}, {"radius": "float"}),
+    "gaussian-potential": (gaussian_potential, {"mean": "floats"}, {"log_scale": "float"}),
 }
 
 

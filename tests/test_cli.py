@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from sfsampler import DriftEvaluator, harness, load_batch
+from sfsampler import DriftEvaluator, cli, harness, load_batch
 from sfsampler.cli import build_parser, main
 from sfsampler.config import RUN_KEYS
 
@@ -375,3 +375,30 @@ def test_regularity_command_checks_declared_bounds(tmp_path, capsys):
     assert payload["checks"]["c0_ok"] is True
     assert payload["estimate"]["b_sup_hat"] < 2.0
     assert os.path.exists(os.path.join(out, "regularity.json"))
+
+
+def test_config_that_is_not_utf8_is_exit_2(tmp_path, capsys):
+    cfg = os.path.join(tmp_path, "bad.ini")
+    with open(cfg, "wb") as fh:
+        fh.write(b"\xff\xfe[target]\n")
+    out = os.path.join(tmp_path, "o")
+    assert main(["sample", "--config", cfg, "--out", out]) == 2
+    payload = _json_out(capsys)
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith(f"cannot read config {cfg}")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, owner", [("sample", cli), ("compare", harness)],
+                         ids=["sample", "compare"])
+def test_out_that_cannot_be_a_directory_is_exit_2_before_any_run(tmp_path, capsys, command, owner):
+    cfg = _write(tmp_path, GOOD)
+    for out in (cfg, os.path.join(cfg, "x", "y")):
+        with mock.patch.object(owner, "sfs_run", side_effect=AssertionError("sampler ran")) as run:
+            assert main([command, "--config", cfg, "--out", out]) == 2
+        payload = _json_out(capsys)
+        assert payload["error"] == "NotADirectoryError"
+        assert payload["exit"] == 2
+        assert not run.called
+    with open(cfg) as fh:
+        assert fh.read() == GOOD

@@ -1,6 +1,7 @@
 """Config files: strict parsing, typed errors, and lossless round-trips."""
 
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -20,6 +21,9 @@ from sfsampler import (
     regularize,
 )
 from sfsampler.config import (
+    _TARGET_KEYS,
+    _fmt,
+    _parse_value,
     plan_from_config,
     read_ini,
     sampler_from_config,
@@ -29,7 +33,7 @@ from sfsampler.config import (
 )
 from sfsampler.harness import SWEEP_AXES
 from sfsampler.metrics import W2_METRICS
-from sfsampler.targets import build_target, describe
+from sfsampler.targets import _KINDS, build_target, describe
 
 
 def _write(tmp_path, text, name="cfg.ini"):
@@ -325,3 +329,70 @@ def test_partial_regularity_is_rejected(tmp_path):
     )
     with pytest.raises(ConfigError):
         target_from_config(read_ini(path))
+
+
+# Each value type against its own writer: what _fmt writes, _parse_value reads back.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_VALUE_TYPES = {
+    "str": st.text().filter(lambda s: s == s.strip()),
+    "int": st.integers(),
+    "float": _FINITE,
+    "bool": st.booleans(),
+    "floats": st.lists(_FINITE, min_size=1, max_size=6),
+    "rows": st.lists(st.lists(_FINITE, min_size=1, max_size=4), min_size=1, max_size=4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_VALUE_TYPES))
+def test_every_value_type_round_trips_through_its_writer(kind):
+    @settings(max_examples=60, deadline=None)
+    @given(_VALUE_TYPES[kind])
+    def check(value):
+        assert _parse_value("run", "key", kind, _fmt(value)) == value
+
+    check()
+
+
+@pytest.mark.parametrize("kind, raw, message", [
+    ("int", "1e3", "[run] key: cannot read '1e3' as int"),
+    ("bool", "maybe", "[run] key: cannot read 'maybe' as bool"),
+    ("floats", " , ", "[run] key: cannot read ',' as floats"),
+    ("rows", "2;", "[run] key: cannot read '2;' as rows"),
+    ("rows", "2; ;-2", "[run] key: cannot read '2; ;-2' as rows"),
+    ("float", "abc", "[run] key: cannot read 'abc' as float"),
+])
+def test_malformed_values_give_the_same_message(kind, raw, message):
+    with pytest.raises(ConfigError) as info:
+        _parse_value("run", "key", kind, raw)
+    assert str(info.value) == message
+
+
+def test_target_keys_are_every_kinds_keys():
+    assert _TARGET_KEYS == {
+        "dim": "int",
+        "kind": "str",
+        "log_scale": "float",
+        "mean": "floats",
+        "means": "rows",
+        "radius": "float",
+        "weights": "floats",
+    }
+
+
+def test_readme_target_table_lists_each_kinds_keys():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| kind | required | optional (default) | target |")
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        kind, required, optional = (cell.strip() for cell in line.split("|")[1:4])
+        table[kind.strip("`")] = (
+            re.findall(r"`(\w+)`", required),
+            re.findall(r"`(\w+)`", optional),
+        )
+    assert table == {
+        kind: (list(required), list(optional)) for kind, (_, required, optional) in _KINDS.items()
+    }

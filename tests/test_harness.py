@@ -263,3 +263,13 @@ def test_compare_samplers_report(tmp_path):
         assert "mode_mass" in report[side]
     for name in ("comparison.json", "sfs.csv", "ula.csv"):
         assert os.path.exists(os.path.join(out, name))
+
+
+def test_assignment_cell_over_its_limit_fails_before_any_run(tmp_path):
+    plan = _tiny_plan(axis="particles", values=(8, 16, 513), metric="assignment",
+                      base=SamplerConfig(steps=2, particles=1000, seed=3))
+    with mock.patch.object(harness, "sfs_run", wraps=harness.sfs_run) as run:
+        summary = run_experiment(plan, os.path.join(tmp_path, "sweep"))
+    assert list(summary["failures"]) == ["513"]
+    assert "limited to 512 points, got 513" in summary["failures"]["513"]
+    assert run.call_count == 2 * plan.replications
