@@ -74,13 +74,11 @@ def write_json(path, payload):
 
 
 def rate_table_csv(path, header, rows):
-    """Write a rate table with stable float formatting (for diffs)."""
+    """Write a table of numbers as the sample CSV writes floats; ints below 2**53 print as str."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [_FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row]
-            fh.write(",".join(cells) + "\n")
+        _write_rows(fh, np.array(rows, dtype=float).reshape(-1, len(header)))
     return path
 
 

@@ -40,7 +40,7 @@ from .errors import (
     check_int,
 )
 from .harness import compare_samplers, run_experiment
-from .sampler import sfs_run
+from .sampler import _floored, sfs_run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -115,22 +115,25 @@ def _cmd_sample(args):
     }
 
 
-def _mc_evaluator(target, config, workers):
-    """Monte-Carlo evaluator for the check commands, on ``workers`` threads.
+def _mc_evaluator(args):
+    """The Monte-Carlo evaluator of the check commands, on ``--workers`` threads, and the config.
 
     "auto" and "exact" fall back to the target's Monte-Carlo mode (the
-    gradient form when there is a gradient), and m defaults to 64.
+    gradient form when there is a gradient), m defaults to 64, and the eps
+    floor bound to that m makes ``ev.target`` the target a run samples.
     """
+    _, target, config = _load(args)
     mode = config.drift
     if mode in ("auto", "exact"):
         mode = "mc-grad" if target.grad_log_f is not None else "mc-stein"
     m = config.mc_size if config.mc_size is not None else 64
-    return DriftEvaluator(target=target, mode=mode, m=m, seed=config.seed, workers=workers)
+    ev = DriftEvaluator(target=target, mode=mode, m=m, seed=config.seed, workers=args.workers)
+    return _floored(ev, config.eps)[0], config
 
 
 def _cmd_drift_check(args):
-    _, target, config = _load(args)
-    ev = _mc_evaluator(target, config, args.workers)
+    ev, config = _mc_evaluator(args)
+    target = ev.target
     grid = ProbeGrid()
     pts = probe_points(grid, target.dim, seed=config.seed)
     cells = []
@@ -186,8 +189,8 @@ def _cmd_compare(args):
 
 
 def _cmd_regularity(args):
-    _, target, config = _load(args)
-    evaluator = _mc_evaluator(target, config, args.workers)  # unused on a mixture's closed form
+    evaluator, config = _mc_evaluator(args)  # the evaluator is unused on a closed form
+    target = evaluator.target
     estimate = estimate_regularity(target, seed=config.seed, evaluator=evaluator)
     report = {"command": "regularity", "estimate": asdict(estimate), "target": target.name}
     if target.regularity is not None:

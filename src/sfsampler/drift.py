@@ -105,11 +105,18 @@ class DriftEvaluator:
         points, _ = _coerce(points, self.target.dim)
         if self.mode == "exact":
             return self.target.mixture.grad_log_ratio(points, _check_t(t))
+        return self._mc_rows(points, t, step_index, 0)
+
+    def _mc_rows(self, points, t, step_index, first_row):
+        """The Monte-Carlo drift at ``points``, row i being particle ``first_row + i``."""
         t = _check_t(t, allow_one=self.mode != "mc-stein")
+        step_index = check_int("step_index", step_index, minimum=0)
+        first_row = check_int("particle_index", first_row, minimum=0)
         n, p = points.shape
         gen = _rng.substream(self.seed, _rng.ROLE_DRIFT, step_index)
+        gen.standard_normal(first_row * self.m * p)  # the earlier particles' probes, dropped
         out = np.empty((n, p))
-        workers = self.workers
+        workers = self.workers if n > 1 else 1  # a pool for one row costs more than the row
         tile = max(1, _CHUNK_VALUES // (self.m * (p + 1)))
         span = tile if workers == 1 else min(-(-n // workers), _TASK_TILES * tile)
 
@@ -118,7 +125,7 @@ class DriftEvaluator:
                 hi = min(lo + tile, start + len(z))
                 out[lo:hi] = _mc_drift_core(
                     self.target, points[lo:hi], t, z[lo - start:hi - start], self.mode,
-                    step_index=step_index, particle_offset=lo,
+                    step_index=step_index, particle_offset=first_row + lo,
                 )
 
         with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
@@ -165,6 +172,8 @@ def heat_semigroup_mc(target, x, t, m, seed):
     probe = pts + math.sqrt(t) * z
     lf = _returned(target, "log_f", target.log_f(probe), (m,)) + target.log_scale
     mx = lf.max()  # the shift keeps exp from overflowing; all f = 0 gives 0
+    if np.isnan(mx):  # max propagates NaN
+        raise ValueError("target log density returned NaN at a heat-semigroup probe")
     return 0.0 if np.isneginf(mx) else float(np.exp(mx) * np.mean(np.exp(lf - mx)))
 
 
@@ -254,25 +263,10 @@ def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset):
 def _drift_mc(ev, x, t, step_index, particle_index, mode):
     if ev.mode != mode:
         raise ValueError(f"a {mode} drift call needs a {mode} evaluator, got {ev.mode!r}")
-    t = _check_t(t, allow_one=mode != "mc-stein")
     pts, single = _coerce(x, ev.target.dim)
     if not single:
         raise ValueError("direct drift calls evaluate one point at a time")
-    step_index = check_int("step_index", step_index, minimum=0)
-    particle_index = check_int("particle_index", particle_index, minimum=0)
-    z = _rng.normal_row(
-        ev.seed, _rng.ROLE_DRIFT, step_index, particle_index, (ev.m, ev.target.dim)
-    )
-    b = _mc_drift_core(
-        ev.target,
-        pts,
-        t,
-        z[None, :, :],
-        mode,
-        step_index=step_index,
-        particle_offset=particle_index,
-    )
-    return np.asarray(b[0])
+    return ev._mc_rows(pts, t, step_index, particle_index)[0]
 
 
 def drift_mc_grad(ev, x, t, step_index=0, particle_index=0):

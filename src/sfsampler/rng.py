@@ -66,8 +66,8 @@ def normal_row(seed, role, step, row_index, row_shape=()):
     """Materialize the single row ``row_index`` of a block.
 
     Draws and discards the prefix, so the cost grows linearly with
-    row_index. Meant for direct drift calls and spot checks on grid-sized
-    index ranges, not for hot loops.
+    row_index. Meant for spot checks on grid-sized index ranges, such as an
+    independent reference for a direct drift call, not for hot loops.
     """
     row_index = check_int("row_index", row_index, minimum=0)
     width = 1

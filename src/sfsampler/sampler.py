@@ -124,6 +124,12 @@ class SamplerConfig:
         object.__setattr__(self, "record_trajectory", bool(self.record_trajectory))
 
 
+def _floored(ev, schedule):
+    """``ev`` on the target a run samples (regularized when eps > 0), and the eps bound to its m."""
+    eps = schedule.bind(ev.m)
+    return (dataclasses.replace(ev, target=regularize(ev.target, eps)) if eps > 0.0 else ev), eps
+
+
 def _check_finite(x, message, step):
     """Raise NonFiniteStateError for the first non-finite row of x, formatted into message."""
     if not np.isfinite(x).all():
@@ -153,9 +159,7 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
         NonFiniteStateError: a particle state left the finite range.
     """
     ev = DriftEvaluator(target, config.drift, m=config.mc_size, seed=config.seed, workers=workers)
-    eps = config.eps.bind(ev.m)
-    if eps > 0.0:
-        ev = dataclasses.replace(ev, target=regularize(target, eps))
+    ev, eps = _floored(ev, config.eps)
 
     n, p, k_steps = config.particles, target.dim, config.steps
     resolved = _record(target, algorithm="sfs", drift_resolved=ev.mode, eps_resolved=eps,

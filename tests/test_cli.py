@@ -3,14 +3,26 @@
 import argparse
 import json
 import os
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from sfsampler import DriftEvaluator, cli, harness, load_batch
+from sfsampler import (
+    DriftEvaluator,
+    ProbeGrid,
+    cli,
+    drift_exact,
+    estimate_regularity,
+    gaussian_mixture_target,
+    harness,
+    load_batch,
+    probe_points,
+    regularize,
+)
 from sfsampler.cli import build_parser, main
-from sfsampler.config import RUN_KEYS
+from sfsampler.config import RUN_KEYS, read_ini, sampler_from_config, target_from_config
 
 GOOD = """[target]
 kind = mixture
@@ -375,6 +387,65 @@ def test_regularity_command_checks_declared_bounds(tmp_path, capsys):
     assert payload["checks"]["c0_ok"] is True
     assert payload["estimate"]["b_sup_hat"] < 2.0
     assert os.path.exists(os.path.join(out, "regularity.json"))
+
+
+BUMP = "[target]\nkind = bump\nradius = 3\n\n[run]\nseed = 1\n"
+
+
+def test_regularity_on_a_floored_bump_runs_on_the_floored_target(tmp_path, capsys):
+    cfg = _write(tmp_path, BUMP + "eps_rule = log\n")
+    assert main(["regularity", "--config", cfg]) == 0
+    payload = _json_out(capsys)
+    assert payload["target"] == "bump+eps"
+    for key in ("c0_hat", "c1_hat", "b_sup_hat"):
+        assert np.isfinite(payload["estimate"][key]), key
+
+
+def test_regularity_on_a_bump_without_a_floor_is_exit_5_with_context(tmp_path, capsys):
+    # The probe box [-5, 5] reaches past the support [-3, 3].
+    assert main(["regularity", "--config", _write(tmp_path, BUMP)]) == 5
+    payload = _json_out(capsys)
+    assert payload["error"] == "DriftSingularityError"
+    assert payload["context"]["particle_index"] == 0
+    assert payload["context"]["step_index"] == 0
+
+
+def test_drift_check_measures_against_the_floored_closed_form(tmp_path, capsys):
+    cfg = _write(tmp_path, GOOD.replace("mc_size = 8", "mc_size = 8\neps_rule = fixed:0.2"))
+    assert main(["drift-check", "--config", cfg]) == 0
+    payload = _json_out(capsys)
+    floored = regularize(gaussian_mixture_target([0.5, 0.5], [[2.0], [-2.0]]), 0.2)
+    ev = DriftEvaluator(floored, "mc-grad", m=8, seed=7)
+    grid = ProbeGrid()
+    pts = probe_points(grid, 1, seed=7)
+    for cell, t in zip(payload["cells"], grid.t_values):
+        err = np.linalg.norm(ev.batch(pts, t, 0) - drift_exact(floored, pts, t), axis=1)
+        assert cell == {"t": t, "rms": float(np.sqrt(np.mean(err**2))), "max": float(err.max())}
+    assert payload["target"] == "mixture+eps"
+
+
+@pytest.mark.parametrize("text", [GOOD, GOOD.replace("mc-grad", "mc-stein"), POTENTIAL],
+                         ids=["mixture-grad", "mixture-stein", "potential"])
+def test_check_commands_without_a_floor_use_the_target_as_given(tmp_path, capsys, text):
+    cfg = _write(tmp_path, text)
+    sections = read_ini(cfg)
+    target, config = target_from_config(sections), sampler_from_config(sections)
+    ev = DriftEvaluator(target, config.drift, m=config.mc_size, seed=config.seed)
+    assert main(["regularity", "--config", cfg]) == 0
+    payload = _json_out(capsys)
+    assert payload["target"] == target.name
+    estimate = estimate_regularity(target, seed=config.seed, evaluator=ev)
+    assert payload["estimate"] == asdict(estimate)
+    if target.mixture is None:
+        return
+    grid = ProbeGrid()
+    pts = probe_points(grid, 1, seed=config.seed)
+    assert main(["drift-check", "--config", cfg]) == 0
+    payload = _json_out(capsys)
+    assert payload["target"] == target.name
+    for cell, t in zip(payload["cells"], grid.t_values):
+        err = np.linalg.norm(ev.batch(pts, t, 0) - drift_exact(target, pts, t), axis=1)
+        assert cell["rms"] == float(np.sqrt(np.mean(err**2)))
 
 
 def test_config_that_is_not_utf8_is_exit_2(tmp_path, capsys):

@@ -270,6 +270,39 @@ def test_batch_rows_equal_point_calls_bit_for_bit(case):
     assert np.array_equal(got, np.vstack(rows))
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("mode", ["mc-grad", "mc-stein"])
+def test_point_calls_equal_the_core_on_their_own_probe_row(mode, workers):
+    # The probe row comes from rng.normal_row, independently of batch's tile loop.
+    target = gaussian_mixture_target([0.3, 0.7], [[1.0, -2.0], [-1.5, 0.5]])
+    m, p, k, t = 12, 2, 3, 0.3
+    ev = DriftEvaluator(target, mode, m=m, seed=21, workers=workers)
+    point = drift_mc_grad if mode == "mc-grad" else drift_mc_stein
+    x = np.array([0.4, -1.1])
+    with mock.patch.object(_drift, "_CHUNK_VALUES", 2 * m * (p + 1)):  # two particles a tile
+        for i in (0, 1, 2, 5, 17):
+            z = _rng.normal_row(21, _rng.ROLE_DRIFT, k, i, (m, p))
+            want = _drift._mc_drift_core(target, x[None, :], t, z[None], mode, step_index=k,
+                                         particle_offset=i)
+            assert np.array_equal(point(ev, x, t, k, i), want[0]), i
+        dead = DriftEvaluator(quartic_bump(0.05), mode, m=m, seed=21, workers=workers)
+        with pytest.raises(DriftSingularityError) as err:
+            point(dead, np.array([3.0]), t, k, 17)
+    assert (err.value.particle_index, err.value.step_index) == (17, k)
+
+
+def test_a_point_call_runs_on_the_calling_thread():
+    callers = set()
+
+    def log_f(x):
+        callers.add(threading.get_ident())
+        return MIX.log_f(x)
+
+    ev = DriftEvaluator(dataclasses.replace(MIX, log_f=log_f), "mc-stein", m=8, workers=3)
+    drift_mc_stein(ev, np.array([0.3]), 0.5, 0, 4)
+    assert callers == {threading.get_ident()}
+
+
 @pytest.mark.parametrize("mode", ["mc-grad", "mc-stein"])
 def test_tiles_and_workers_never_change_a_drift(mode):
     target = gaussian_mixture_target([0.3, 0.7], [[1.0, -2.0], [-1.5, 0.5]])
@@ -396,6 +429,14 @@ def test_heat_semigroup_rejects_a_wrong_shaped_log_f():
     bad = dataclasses.replace(MIX, log_f=lambda x: MIX.log_f(x)[:, None])
     with pytest.raises(UnsupportedTargetError, match="log_f"):
         heat_semigroup_mc(bad, np.array([0.3]), 0.5, m=8, seed=1)
+
+
+def test_heat_semigroup_and_the_drift_reject_a_nan_log_f():
+    bad = dataclasses.replace(MIX, log_f=lambda x: np.where(x[:, 0] > 0.0, np.nan, MIX.log_f(x)))
+    with pytest.raises(ValueError, match="returned NaN at a heat-semigroup probe"):
+        heat_semigroup_mc(bad, np.array([0.3]), 0.5, m=8, seed=1)
+    with pytest.raises(ValueError, match="returned NaN at a drift probe"):
+        drift_mc_stein(DriftEvaluator(bad, "mc-stein", m=8), np.array([0.3]), 0.5)
 
 
 def test_heat_semigroup_at_zero_time_is_f_itself():
