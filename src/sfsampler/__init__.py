@@ -19,7 +19,6 @@ from .drift import (
     drift_mc_grad,
     drift_mc_stein,
     estimate_regularity,
-    heat_semigroup_mc,
     probe_points,
 )
 from .errors import (
@@ -31,12 +30,10 @@ from .errors import (
 )
 from .harness import ExperimentPlan, compare_samplers, mode_mass_balance, run_experiment
 from .metrics import (
-    MomentReport,
     RateFit,
     SlicedW2,
     exact_w2_assignment,
     fit_rate,
-    moment_report,
     sliced_w2,
     w2_noise_floor,
     wasserstein2_1d,
@@ -48,8 +45,6 @@ from .targets import (
     TargetRegularity,
     TargetSpec,
     build_target,
-    eval_grad_log_f,
-    eval_log_f,
     from_potential,
     gaussian,
     gaussian_mixture_target,
@@ -70,7 +65,6 @@ __all__ = [
     "EpsSchedule",
     "ExperimentPlan",
     "GaussianMixture",
-    "MomentReport",
     "NonFiniteStateError",
     "ProbeGrid",
     "RateFit",
@@ -93,18 +87,14 @@ __all__ = [
     "drift_mc_grad",
     "drift_mc_stein",
     "estimate_regularity",
-    "eval_grad_log_f",
-    "eval_log_f",
     "exact_w2_assignment",
     "fit_rate",
     "from_potential",
     "gaussian",
     "gaussian_mixture_target",
     "gaussian_potential",
-    "heat_semigroup_mc",
     "load_batch",
     "mode_mass_balance",
-    "moment_report",
     "probe_points",
     "quartic_bump",
     "regularize",

@@ -29,7 +29,14 @@ from .config import (
     ula_from_config,
     write_resolved_ini,
 )
-from .drift import DriftEvaluator, ProbeGrid, drift_exact, estimate_regularity, probe_points
+from .drift import (
+    DriftEvaluator,
+    ProbeGrid,
+    default_drift_mode,
+    drift_exact,
+    estimate_regularity,
+    probe_points,
+)
 from .drift import drift_mc_stein  # noqa: F401 - bench/workloads.py patches cli.drift_mc_stein
 from .errors import (
     ConfigError,
@@ -118,13 +125,16 @@ def _cmd_sample(args):
 def _mc_evaluator(args):
     """The Monte-Carlo evaluator of the check commands, on ``--workers`` threads, and the config.
 
-    "auto" and "exact" fall back to the target's Monte-Carlo mode (the
-    gradient form when there is a gradient), m defaults to 64, and the eps
-    floor bound to that m makes ``ev.target`` the target a run samples.
+    A run mode that resolves to "exact" first binds the eps schedule
+    without m, so an m-driven eps fails here as it fails in ``sfs_run``;
+    it then falls back to the target's Monte-Carlo mode (the gradient form
+    when there is a gradient). m defaults to 64, and the eps floor bound to
+    that m makes ``ev.target`` the target a run samples.
     """
     _, target, config = _load(args)
-    mode = config.drift
-    if mode in ("auto", "exact"):
+    mode = default_drift_mode(target) if config.drift == "auto" else config.drift
+    if mode == "exact":
+        config.eps.bind(None)
         mode = "mc-grad" if target.grad_log_f is not None else "mc-stein"
     m = config.mc_size if config.mc_size is not None else 64
     ev = DriftEvaluator(target=target, mode=mode, m=m, seed=config.seed, workers=args.workers)

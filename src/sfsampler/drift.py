@@ -92,9 +92,9 @@ class DriftEvaluator:
     def batch(self, points, t, step_index):
         """Drift at every row of ``points`` (n, p) at time t, as an (n, p) array.
 
-        The points are checked as ``eval_log_f`` checks them. The exact mode
-        is the closed form and ignores the rest. Row i of a
-        Monte-Carlo estimate uses the probes of particle i at step
+        The points must be finite with shape (n, p), as ``_coerce`` checks
+        them. The exact mode is the closed form and ignores the rest. Row i
+        of a Monte-Carlo estimate uses the probes of particle i at step
         ``step_index``, the same bytes a direct call with that particle
         index gives. Rows run in cache-sized tiles whose probes the calling
         thread draws in order. With ``workers`` above 1, pool tasks take spans
@@ -150,31 +150,6 @@ def _check_t(t, *, allow_one=True):
     if not allow_one and t == 1.0:
         raise ValueError("t = 1 is rejected: the Stein form divides by sqrt(1 - t)")
     return t
-
-
-def heat_semigroup_mc(target, x, t, m, seed):
-    """Monte-Carlo value of Q_t f(x), the heat-semigroup average.
-
-    Args:
-        target: TargetSpec; the declared scale shift is included, since
-            this is a value of f itself, not a ratio.
-        x: single evaluation point.
-        t: smoothing time in [0, 1]. At t = 0 the value is exactly f(x).
-        m: number of Gaussian probes, at least 1.
-        seed: root seed; draws come from the semigroup role stream.
-    """
-    t = _check_t(t)
-    m = check_int("m", m)
-    pts, single = _coerce(x, target.dim)
-    if not single:
-        raise ValueError("heat_semigroup_mc evaluates one point at a time")
-    z = _rng.substream(seed, _rng.ROLE_SEMIGROUP, 0).standard_normal((m, target.dim))
-    probe = pts + math.sqrt(t) * z
-    lf = _returned(target, "log_f", target.log_f(probe), (m,)) + target.log_scale
-    mx = lf.max()  # the shift keeps exp from overflowing; all f = 0 gives 0
-    if np.isnan(mx):  # max propagates NaN
-        raise ValueError("target log density returned NaN at a heat-semigroup probe")
-    return 0.0 if np.isneginf(mx) else float(np.exp(mx) * np.mean(np.exp(lf - mx)))
 
 
 def drift_exact(target, x, t):

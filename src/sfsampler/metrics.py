@@ -1,4 +1,4 @@
-"""Sample-quality metrics: Wasserstein-2 variants, moments, and rate fits.
+"""Sample-quality metrics: Wasserstein-2 variants, their noise floor, and rate fits.
 
 All W2 routines compare equal-size empirical measures. In one dimension
 the optimal coupling is the order statistics, which is exact and cheap;
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as _rng
-from .errors import UnsupportedTargetError, check_int
+from .errors import check_int
 from .targets import sample_ground_truth
 
 ASSIGNMENT_MAX_POINTS = 512
@@ -126,77 +126,6 @@ def exact_w2_assignment(x, y):
     cost = cdist(x, y, "sqeuclidean")
     rows, cols = linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """First and second moments of a batch against target values."""
-
-    n: int
-    sample_mean: np.ndarray
-    sample_cov: np.ndarray | None
-    target_mean: np.ndarray
-    target_cov: np.ndarray
-    mean_se: np.ndarray | None
-    z_mean: np.ndarray | None
-    flags: tuple
-
-    @property
-    def max_abs_z(self):
-        if self.z_mean is None:
-            return float("nan")
-        return float(np.max(np.abs(self.z_mean)))
-
-
-def moment_report(samples, target, seed=0):
-    """Compare a batch's mean and covariance to the target's.
-
-    Target moments come from the analytic values when the target carries
-    them, otherwise from a large ground-truth draw (flagged as estimated).
-    A single-point batch has no dispersion, so its standard errors and
-    z-scores are reported as undefined and flagged.
-    """
-    x = _sample_2d(samples)
-    n, p = x.shape
-    if x.shape[1] != target.dim:
-        raise ValueError(f"batch dimension {p} does not match target dimension {target.dim}")
-
-    flags = []
-    if target.target_mean is not None and target.target_cov is not None:
-        t_mean = np.asarray(target.target_mean, dtype=float)
-        t_cov = np.asarray(target.target_cov, dtype=float)
-    elif target.sampler is not None:
-        ref = sample_ground_truth(target, 100_000, seed).samples
-        t_mean = ref.mean(axis=0)
-        t_cov = np.cov(ref, rowvar=False).reshape(p, p)
-        flags.append("target-moments-estimated")
-    else:
-        raise UnsupportedTargetError(
-            f"target {target.name!r} has neither analytic moments nor a sampler"
-        )
-
-    sample_mean = x.mean(axis=0)
-    if n >= 2:
-        sample_cov = np.cov(x, rowvar=False).reshape(p, p)
-        mean_se = np.sqrt(np.diag(sample_cov) / n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(mean_se > 0, (sample_mean - t_mean) / mean_se, np.inf)
-    else:
-        sample_cov = None
-        mean_se = None
-        z = None
-        flags.append("single-point-batch: dispersion undefined")
-
-    return MomentReport(
-        n=n,
-        sample_mean=sample_mean,
-        sample_cov=sample_cov,
-        target_mean=t_mean,
-        target_cov=t_cov,
-        mean_se=mean_se,
-        z_mean=z,
-        flags=tuple(flags),
-    )
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ ROLE_PROJECTION = 4     # sliced-metric directions
 ROLE_ULA_INIT = 5       # Langevin chain initialization
 ROLE_ULA_STEP = 6       # Langevin iteration noise
 ROLE_DERIVE = 7         # child-seed derivation (harness cells, noise floors)
-ROLE_SEMIGROUP = 8      # direct heat-semigroup estimates
 ROLE_PROBE = 9          # regularity probe points
 
 _MASK64 = (1 << 64) - 1

@@ -192,14 +192,6 @@ class GaussianMixture:
         self._softmax_pass(x, 1.0, value, grad)
         return value, grad
 
-    def mean(self):
-        return self.weights @ self.means
-
-    def cov(self):
-        mu = self.mean()
-        second = np.eye(self.dim) + (self.means.T * self.weights) @ self.means
-        return second - np.outer(mu, mu)
-
     def sample(self, n, gen):
         comps = gen.choice(self.n_components, size=n, p=self.weights)
         return self.means[comps] + gen.standard_normal((n, self.dim))
@@ -210,10 +202,10 @@ class TargetSpec:
     """One sampling target: log density ratio, gradient, and metadata.
 
     ``log_f`` and ``grad_log_f`` are batch callables on (n, dim) arrays and
-    exclude ``log_scale``. The stored scale shifts density values but
-    provably cancels in every drift ratio, so keeping it out of the
-    callables is what makes scale invariance exact at the bit level rather
-    than up to rounding.
+    exclude ``log_scale``. The declared scale cancels in every drift ratio,
+    so keeping it out of the callables is what makes scale invariance exact
+    at the bit level rather than up to rounding; only ``regularize``, which
+    mixes absolute density values, folds it in.
 
     Attributes:
         name: short human-readable label.
@@ -226,8 +218,6 @@ class TargetSpec:
         regularity: declared (gamma, xi, zeta) constants, or None.
         params: JSON-serializable description used for digests and rebuilds.
         sampler: ground-truth sampler (n, Generator) -> (n, dim), or None.
-        target_mean: analytic mean, when known.
-        target_cov: analytic covariance, when known.
     """
 
     name: str
@@ -240,8 +230,6 @@ class TargetSpec:
     regularity: TargetRegularity | None = None
     params: dict = field(default_factory=dict)
     sampler: Callable | None = None
-    target_mean: np.ndarray | None = None
-    target_cov: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dim", check_int("dim", self.dim))
@@ -264,27 +252,6 @@ def describe(target):
 def _record(target, **fields):
     """A batch's resolved record: ``fields``, the stream policy and ``describe(target)``."""
     return {**fields, "stream_policy": _rng.STREAM_POLICY, "target": describe(target)}
-
-
-def eval_log_f(target, x):
-    """Log density ratio log f(x), including the declared scale shift.
-
-    For relative (potential-form) targets the value is meaningful only up
-    to one additive constant shared by all x; check ``target.relative``
-    before treating it as absolute. Returns -inf where f vanishes.
-    """
-    pts, single = _coerce(x, target.dim)
-    out = _returned(target, "log_f", target.log_f(pts), (len(pts),)) + target.log_scale
-    return float(out[0]) if single else out
-
-
-def eval_grad_log_f(target, x):
-    """Gradient of log f at x. Scale shifts do not affect it."""
-    if target.grad_log_f is None:
-        raise UnsupportedTargetError(f"target {target.name!r} has no gradient")
-    pts, single = _coerce(x, target.dim)
-    out = _returned(target, "grad_log_f", target.grad_log_f(pts), pts.shape)
-    return np.asarray(out[0]) if single else out
 
 
 def sample_ground_truth(target, n, seed):
@@ -386,15 +353,6 @@ def regularize(target, eps):
                 out[keep] = base_sampler(n_keep, gen)
             return out
 
-    target_mean = None
-    target_cov = None
-    if target.target_mean is not None and target.target_cov is not None:
-        mu = np.asarray(target.target_mean, dtype=float)
-        second = np.asarray(target.target_cov, dtype=float) + np.outer(mu, mu)
-        target_mean = (1.0 - eps) * mu
-        second_eps = (1.0 - eps) * second + eps * np.eye(dim)
-        target_cov = second_eps - np.outer(target_mean, target_mean)
-
     return TargetSpec(
         name=name,
         dim=dim,
@@ -405,8 +363,6 @@ def regularize(target, eps):
         regularity=regularity,
         params=params,
         sampler=sampler,
-        target_mean=target_mean,
-        target_cov=target_cov,
     )
 
 
@@ -420,8 +376,6 @@ def _mixture_spec(name, mix, params, regularity=None):
         regularity=regularity,
         params=params,
         sampler=mix.sample,
-        target_mean=mix.mean(),
-        target_cov=mix.cov(),
     )
 
 
@@ -504,8 +458,6 @@ def quartic_bump(radius=3.0, regularity=None):
         regularity=regularity,
         params={"kind": "bump", "radius": a},
         sampler=sampler,
-        target_mean=np.zeros(1),
-        target_cov=np.array([[a * a / 7.0]]),
     )
 
 

@@ -44,13 +44,6 @@ def quadrature_drift_1d(f, f_prime, x, t, lim=14.0):
     return num / den
 
 
-def quadrature_semigroup_1d(f, x, t, lim=14.0):
-    """Adaptive-quadrature value of the heat-semigroup average of f at x."""
-    r = math.sqrt(t)
-    val, _ = quad(lambda z: _phi(z) * f(x + r * z), -lim, lim, limit=400)
-    return val
-
-
 def brute_force_w2(x, y):
     """Exact W2 by trying every matching. Factorial, so n <= 8 only."""
     x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -255,6 +255,20 @@ def test_m_driven_eps_sweep_with_the_closed_form_is_exit_4_before_any_file(tmp_p
     assert not os.path.exists(os.path.join(out, "plan.json"))
 
 
+@pytest.mark.parametrize("drift", ["", "drift = exact\n"], ids=["auto", "exact"])
+@pytest.mark.parametrize("command", ["sample", "drift-check", "regularity"])
+def test_m_driven_eps_with_the_closed_form_is_exit_4_in_every_run_command(
+        tmp_path, capsys, command, drift):
+    # The check commands run a Monte-Carlo drift, but they refuse what a run refuses.
+    cfg = _write(tmp_path, GOOD.replace("drift = mc-grad\nmc_size = 8\n", drift + "eps_rule = log\n"))
+    out = os.path.join(tmp_path, "o")
+    assert main([command, "--config", cfg, "--out", out]) == 4
+    payload = _json_out(capsys)
+    assert payload["error"] == "ValueError"
+    assert "driven by the Monte-Carlo batch size" in payload["message"]
+    assert not os.path.exists(out)
+
+
 def test_assignment_sweep_over_its_size_limit_is_exit_4_before_any_file(tmp_path, capsys):
     text = GOOD.replace("particles = 128", "particles = 1000")
     cfg = _write(tmp_path, text.replace("metric = w2_1d", "metric = assignment"))

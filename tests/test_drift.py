@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import mixture_f_derivatives, quadrature_drift_1d, quadrature_semigroup_1d
+from oracles import mixture_f_derivatives, quadrature_drift_1d
 from sfsampler import (
     DriftEvaluator,
     ProbeGrid,
@@ -25,7 +25,6 @@ from sfsampler import (
     gaussian,
     gaussian_mixture_target,
     gaussian_potential,
-    heat_semigroup_mc,
     probe_points,
     quartic_bump,
     regularize,
@@ -177,17 +176,15 @@ def test_evaluator_validation():
 
 
 @pytest.mark.parametrize("m", [2.5, "8", True, 0, -3, None])
-def test_evaluator_and_semigroup_need_a_positive_integer_m(m):
+def test_evaluator_needs_a_positive_integer_m(m):
     with pytest.raises(ValueError):
         DriftEvaluator(target=MIX, mode="mc-grad", m=m)
-    with pytest.raises(ValueError):
-        heat_semigroup_mc(MIX, np.array([0.0]), 0.5, m=m, seed=0)
 
 
 def test_evaluator_accepts_numpy_integer_m():
     ev = DriftEvaluator(target=MIX, mode="mc-stein", m=np.int64(4), seed=1)
     assert ev.m == 4 and type(ev.m) is int
-    assert heat_semigroup_mc(MIX, np.array([0.0]), 0.5, m=np.int32(3), seed=0) > 0.0
+    assert DriftEvaluator(target=MIX, mode="mc-grad", m=np.int32(3)).m == 3
 
 
 def test_auto_resolves_to_the_default_mode():
@@ -425,37 +422,10 @@ def test_replaced_mixture_callables_are_the_ones_called(mode):
     assert np.array_equal(got, want)
 
 
-def test_heat_semigroup_rejects_a_wrong_shaped_log_f():
-    bad = dataclasses.replace(MIX, log_f=lambda x: MIX.log_f(x)[:, None])
-    with pytest.raises(UnsupportedTargetError, match="log_f"):
-        heat_semigroup_mc(bad, np.array([0.3]), 0.5, m=8, seed=1)
-
-
-def test_heat_semigroup_and_the_drift_reject_a_nan_log_f():
+def test_the_drift_rejects_a_nan_log_f():
     bad = dataclasses.replace(MIX, log_f=lambda x: np.where(x[:, 0] > 0.0, np.nan, MIX.log_f(x)))
-    with pytest.raises(ValueError, match="returned NaN at a heat-semigroup probe"):
-        heat_semigroup_mc(bad, np.array([0.3]), 0.5, m=8, seed=1)
     with pytest.raises(ValueError, match="returned NaN at a drift probe"):
         drift_mc_stein(DriftEvaluator(bad, "mc-stein", m=8), np.array([0.3]), 0.5)
-
-
-def test_heat_semigroup_at_zero_time_is_f_itself():
-    t = gaussian_potential([1.0], log_scale=2.0)
-    x = np.array([0.7])
-    want = math.exp(float(t.log_f(x.reshape(1, 1))[0]) + 2.0)
-    got = heat_semigroup_mc(t, x, 0.0, m=5, seed=3)
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_heat_semigroup_matches_quadrature():
-    f, _, _ = mixture_f_derivatives([0.5, 0.5], [2.0, -2.0])
-    x, t = 0.8, 0.5
-    oracle = quadrature_semigroup_1d(f, x, t)
-    reps = np.array(
-        [heat_semigroup_mc(MIX, np.array([x]), t, m=20_000, seed=s) for s in range(16)]
-    )
-    se = reps.std(ddof=1) / 4.0
-    assert abs(reps.mean() - oracle) < 4.0 * se
 
 
 def test_all_probes_outside_support_is_a_reported_singularity():

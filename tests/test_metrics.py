@@ -1,5 +1,5 @@
 """Metrics: hand values, brute-force agreement, slicing identities,
-moment reports, rate fits, and the noise floor."""
+rate fits, and the noise floor."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from sfsampler import (
     fit_rate,
     gaussian,
     gaussian_mixture_target,
-    moment_report,
     sliced_w2,
     w2_noise_floor,
     wasserstein2_1d,
@@ -100,36 +99,6 @@ def test_metric_guards():
         wasserstein2_1d([np.nan, 1.0], [0.0, 1.0])
     with pytest.raises(ValueError):
         sliced_w2(np.zeros((4, 2)), np.zeros((4, 3)))
-
-
-def test_moment_report_against_analytic_moments():
-    samples = np.random.default_rng(31).normal(size=(50_000, 1)) + 1.5
-    rep = moment_report(samples, gaussian([1.5]))
-    assert rep.max_abs_z < 4.0
-    assert not rep.flags
-
-
-def test_moment_report_flags_single_point():
-    rep = moment_report(np.array([[1.0]]), gaussian([1.0]))
-    assert any("single-point" in f for f in rep.flags)
-
-
-def test_moment_report_estimates_when_no_analytic_moments():
-    from sfsampler.targets import TargetSpec
-
-    base = gaussian([0.5])
-    stripped = TargetSpec(
-        name="stripped",
-        dim=1,
-        log_f=base.log_f,
-        grad_log_f=base.grad_log_f,
-        sampler=base.sampler,
-        params={"kind": "stripped"},
-    )
-    samples = np.random.default_rng(7).normal(size=(20_000, 1)) + 0.5
-    rep = moment_report(samples, stripped)
-    assert "target-moments-estimated" in rep.flags
-    assert rep.max_abs_z < 5.0
 
 
 def test_fit_rate_recovers_known_slopes():

@@ -13,11 +13,10 @@ from scipy.special import logsumexp, softmax
 
 from oracles import fd_grad
 from sfsampler import (
+    DriftEvaluator,
     UnknownTargetError,
     UnsupportedTargetError,
     build_target,
-    eval_grad_log_f,
-    eval_log_f,
     from_potential,
     gaussian,
     gaussian_mixture_target,
@@ -142,13 +141,6 @@ def test_mixture_weights_validation():
         gaussian_mixture_target([1.5, -0.5], [[1.0], [-1.0]])
 
 
-def test_mixture_moments_are_analytic():
-    mix = gaussian_mixture_target([0.25, 0.75], [[2.0], [-2.0]])
-    assert mix.target_mean == pytest.approx([-1.0])
-    # var = 1 + E[m^2] - (E m)^2 = 1 + 4 - 1 = 4
-    assert mix.target_cov[0, 0] == pytest.approx(4.0)
-
-
 def test_regularized_value_frozen():
     # f_eps(0) = 0.9 exp(-2) + 0.1 for the symmetric mixture.
     reg = regularize(MIX, 0.1)
@@ -162,15 +154,6 @@ def test_regularized_mixture_stays_a_mixture():
     assert reg.mixture.n_components == MIX.mixture.n_components + 1
     assert reg.mixture.weights[-1] == pytest.approx(0.25)
     assert np.allclose(reg.mixture.means[-1], 0.0)
-
-
-def test_regularized_moments_propagate():
-    eps = 0.2
-    reg = regularize(MIX, eps)
-    assert np.allclose(reg.target_mean, (1 - eps) * np.asarray(MIX.target_mean))
-    # Second moment blends: (1-eps) (cov + mu mu') + eps I.
-    second = (1 - eps) * (np.asarray(MIX.target_cov)) + eps * np.eye(1)
-    assert np.allclose(reg.target_cov, second)
 
 
 def test_regularized_gradient_matches_finite_differences():
@@ -198,13 +181,6 @@ def test_regularity_propagates_through_regularize():
     reg = regularize(t, 0.5)
     assert reg.regularity is not None
     assert reg.regularity.xi >= t.regularity.xi
-
-
-def test_eval_log_f_applies_scale():
-    t = gaussian_potential([1.0], log_scale=7.5)
-    x = np.array([[0.3]])
-    assert eval_log_f(t, x)[0] == pytest.approx(t.log_f(x)[0] + 7.5)
-    assert np.allclose(eval_grad_log_f(t, x), t.grad_log_f(x))
 
 
 def test_sample_ground_truth_is_deterministic():
@@ -242,17 +218,19 @@ def test_ground_truth_rejects_a_transposed_sampler():
         sample_ground_truth(transposed, 5, 0)
 
 
-def test_eval_log_f_rejects_a_column_log_f():
+def test_the_drift_rejects_a_column_log_f():
     column = dataclasses.replace(MIX, log_f=lambda x: MIX.log_f(x)[:, None])
+    ev = DriftEvaluator(column, "mc-stein", m=8)
     with pytest.raises(UnsupportedTargetError, match="log_f returned shape"):
-        eval_log_f(column, np.zeros((4, 1)))
+        ev.batch(np.zeros((4, 1)), 0.5, 0)
 
 
-def test_eval_grad_log_f_rejects_a_flat_gradient_at_one_point():
+def test_the_drift_rejects_a_flat_gradient():
     mix = gaussian_mixture_target([0.5, 0.5], [[2.0, 0.0], [-2.0, 1.0]])
     flat = dataclasses.replace(mix, grad_log_f=lambda x: mix.grad_log_f(x)[:, 0])
+    ev = DriftEvaluator(flat, "mc-grad", m=8)
     with pytest.raises(UnsupportedTargetError, match="grad_log_f returned shape"):
-        eval_grad_log_f(flat, np.zeros(2))
+        ev.batch(np.zeros((1, 2)), 0.5, 0)
 
 
 @pytest.mark.parametrize(
