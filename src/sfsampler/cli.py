@@ -29,14 +29,7 @@ from .config import (
     ula_from_config,
     write_resolved_ini,
 )
-from .drift import (
-    DriftEvaluator,
-    ProbeGrid,
-    default_drift_mode,
-    drift_exact,
-    estimate_regularity,
-    probe_points,
-)
+from .drift import ProbeGrid, drift_exact, estimate_regularity, probe_points
 from .drift import drift_mc_stein  # noqa: F401 - bench/workloads.py patches cli.drift_mc_stein
 from .errors import (
     ConfigError,
@@ -47,7 +40,7 @@ from .errors import (
     check_int,
 )
 from .harness import compare_samplers, run_experiment
-from .sampler import _floored, sfs_run
+from .sampler import _run_evaluator, sfs_run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,20 +118,18 @@ def _cmd_sample(args):
 def _mc_evaluator(args):
     """The Monte-Carlo evaluator of the check commands, on ``--workers`` threads, and the config.
 
-    A run mode that resolves to "exact" first binds the eps schedule
-    without m, so an m-driven eps fails here as it fails in ``sfs_run``;
-    it then falls back to the target's Monte-Carlo mode (the gradient form
-    when there is a gradient). m defaults to 64, and the eps floor bound to
-    that m makes ``ev.target`` the target a run samples.
+    m defaults to 64. The run's own drift and floor resolve first, so every
+    config ``sample`` refuses is refused here; a closed-form run is then checked
+    through the target's Monte-Carlo mode (the gradient form when there is one).
     """
     _, target, config = _load(args)
-    mode = default_drift_mode(target) if config.drift == "auto" else config.drift
-    if mode == "exact":
-        config.eps.bind(None)
+    if config.mc_size is None:
+        config = replace(config, mc_size=64)
+    ev, _ = _run_evaluator(config, target, args.workers)
+    if ev.mode == "exact":
         mode = "mc-grad" if target.grad_log_f is not None else "mc-stein"
-    m = config.mc_size if config.mc_size is not None else 64
-    ev = DriftEvaluator(target=target, mode=mode, m=m, seed=config.seed, workers=args.workers)
-    return _floored(ev, config.eps)[0], config
+        ev, _ = _run_evaluator(replace(config, drift=mode), target, args.workers)
+    return ev, config
 
 
 def _cmd_drift_check(args):

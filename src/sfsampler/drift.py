@@ -250,6 +250,8 @@ def drift_mc_grad(ev, x, t, step_index=0, particle_index=0):
     The Z batch is row ``particle_index`` of the (seed, drift, step_index)
     block, so a direct call reproduces exactly what a sampler run with the
     same seed uses for that particle at that step. Valid for t in [0, 1].
+    A call first draws and drops every earlier particle's probes, so its cost
+    grows with ``particle_index``; loop over particles with ``DriftEvaluator.batch``.
     """
     return _drift_mc(ev, x, t, step_index, particle_index, "mc-grad")
 
@@ -258,7 +260,8 @@ def drift_mc_stein(ev, x, t, step_index=0, particle_index=0):
     """Stein-form drift estimate at one point, for t in [0, 1).
 
     Uses the same stream derivation and the same shared batch layout as
-    the gradient form; only the integrand differs.
+    the gradient form; only the integrand differs. Its cost grows with
+    ``particle_index`` as ``drift_mc_grad``'s does; loop with ``DriftEvaluator.batch``.
     """
     return _drift_mc(ev, x, t, step_index, particle_index, "mc-stein")
 

@@ -22,9 +22,8 @@ import numpy as np
 from . import rng as _rng
 from .batches import config_digest, rate_table_csv, save_batch, write_json
 from .metrics import ASSIGNMENT_MAX_POINTS, W2_METRICS, fit_rate, w2_score
-from .drift import DriftEvaluator
 from .errors import UnsupportedTargetError, check_int, check_real
-from .sampler import EpsSchedule, SamplerConfig, sfs_run, ula_run
+from .sampler import EpsSchedule, SamplerConfig, _run_evaluator, sfs_run, ula_run
 from .targets import build_target, sample_ground_truth
 
 SWEEP_AXES = ("steps", "particles", "mc_size", "eps")
@@ -98,15 +97,17 @@ def run_experiment(plan, out_dir):
             f"a sweep scores against ground truth; target {target.name!r} has no sampler")
     if plan.metric == "w2_1d" and target.dim != 1:
         raise ValueError("metric w2_1d needs a one-dimensional target")
-    # The base drift as every run resolves it; on the mc_size axis each cell brings its own m.
-    m = 1 if plan.axis == "mc_size" else plan.base.mc_size
-    ev = DriftEvaluator(target, plan.base.drift, m=m, seed=plan.base.seed, workers=plan.workers)
+    # The base run's drift and floor as every cell resolves them; on the mc_size
+    # and eps axes each cell brings its own m or floor, so the base has none.
+    base = plan.base
+    if plan.axis in ("mc_size", "eps"):
+        m = 1 if plan.axis == "mc_size" else base.mc_size
+        base = dataclasses.replace(base, mc_size=m, eps=EpsSchedule())
+    ev, _ = _run_evaluator(base, target, plan.workers)
     if plan.axis == "mc_size" and ev.mode == "exact":
         raise ValueError(
             "an mc_size sweep needs a Monte-Carlo drift mode; the closed-form drift ignores m"
         )
-    if plan.axis in ("steps", "particles"):
-        plan.base.eps.bind(ev.m)  # every cell binds the floor to this m; the closed form has none
     sizes = plan.values if plan.axis == "particles" else (plan.base.particles,)
     if plan.metric == "assignment" and min(sizes) > ASSIGNMENT_MAX_POINTS:
         raise ValueError(f"metric assignment is limited to {ASSIGNMENT_MAX_POINTS} particles, "
@@ -220,7 +221,7 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, ula_post_steps=
             f"a comparison scores against ground truth; target {target.name!r} has no sampler")
     if target.grad_log_f is None:
         raise UnsupportedTargetError(f"Langevin needs grad log f, {target.name!r} has none")
-    ev = DriftEvaluator(target=target, mode=config.drift, m=config.mc_size, seed=config.seed)
+    ev, _ = _run_evaluator(config, target)
     if ev.mode == "exact":
         raise ValueError(
             "budget matching needs a Monte-Carlo drift mode; the exact "

@@ -124,10 +124,11 @@ class SamplerConfig:
         object.__setattr__(self, "record_trajectory", bool(self.record_trajectory))
 
 
-def _floored(ev, schedule):
-    """``ev`` on the target a run samples (regularized when eps > 0), and the eps bound to its m."""
-    eps = schedule.bind(ev.m)
-    return (dataclasses.replace(ev, target=regularize(ev.target, eps)) if eps > 0.0 else ev), eps
+def _run_evaluator(config, target, workers=1):
+    """The evaluator a run of ``config`` uses, on the floored target when eps > 0, and its eps."""
+    ev = DriftEvaluator(target, config.drift, m=config.mc_size, seed=config.seed, workers=workers)
+    eps = config.eps.bind(ev.m)
+    return (dataclasses.replace(ev, target=regularize(target, eps)) if eps > 0.0 else ev), eps
 
 
 def _check_finite(x, message, step):
@@ -154,12 +155,13 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
         and its digest.
 
     Raises:
+        UnsupportedTargetError, ValueError: the drift or the eps floor
+            does not resolve for this config and target, before any step.
         DriftSingularityError: every probe of some particle fell where
             f = 0 (propagates with particle and step context).
         NonFiniteStateError: a particle state left the finite range.
     """
-    ev = DriftEvaluator(target, config.drift, m=config.mc_size, seed=config.seed, workers=workers)
-    ev, eps = _floored(ev, config.eps)
+    ev, eps = _run_evaluator(config, target, workers)
 
     n, p, k_steps = config.particles, target.dim, config.steps
     resolved = _record(target, algorithm="sfs", drift_resolved=ev.mode, eps_resolved=eps,

@@ -255,17 +255,29 @@ def test_m_driven_eps_sweep_with_the_closed_form_is_exit_4_before_any_file(tmp_p
     assert not os.path.exists(os.path.join(out, "plan.json"))
 
 
-@pytest.mark.parametrize("drift", ["", "drift = exact\n"], ids=["auto", "exact"])
-@pytest.mark.parametrize("command", ["sample", "drift-check", "regularity"])
+EXACT_BUMP = GOOD.replace("kind = mixture\nweights = 0.5 0.5\nmeans = 2; -2\n", "kind = bump\n").replace(
+    "drift = mc-grad\nmc_size = 8\n", "drift = exact\neps_rule = fixed:0.2\n")
+CLOSED_FORM_REFUSED = {
+    "auto": (GOOD.replace("drift = mc-grad\nmc_size = 8\n", "eps_rule = log\n"),
+             "ValueError", "driven by the Monte-Carlo batch size"),
+    "exact": (GOOD.replace("mc-grad\nmc_size = 8\n", "exact\neps_rule = log\n"),
+              "ValueError", "driven by the Monte-Carlo batch size"),
+    "bump": (EXACT_BUMP, "UnsupportedTargetError", "'bump' has none"),
+}
+
+
+@pytest.mark.parametrize("case", list(CLOSED_FORM_REFUSED))
+@pytest.mark.parametrize("command", ["sample", "drift-check", "sweep", "compare", "regularity"])
 def test_m_driven_eps_with_the_closed_form_is_exit_4_in_every_run_command(
-        tmp_path, capsys, command, drift):
+        tmp_path, capsys, command, case):
     # The check commands run a Monte-Carlo drift, but they refuse what a run refuses.
-    cfg = _write(tmp_path, GOOD.replace("drift = mc-grad\nmc_size = 8\n", drift + "eps_rule = log\n"))
+    text, error, fragment = CLOSED_FORM_REFUSED[case]
+    cfg = _write(tmp_path, text)
     out = os.path.join(tmp_path, "o")
     assert main([command, "--config", cfg, "--out", out]) == 4
     payload = _json_out(capsys)
-    assert payload["error"] == "ValueError"
-    assert "driven by the Monte-Carlo batch size" in payload["message"]
+    assert payload["error"] == error
+    assert fragment in payload["message"]
     assert not os.path.exists(out)
 
 
@@ -460,6 +472,16 @@ def test_check_commands_without_a_floor_use_the_target_as_given(tmp_path, capsys
     for cell, t in zip(payload["cells"], grid.t_values):
         err = np.linalg.norm(ev.batch(pts, t, 0) - drift_exact(target, pts, t), axis=1)
         assert cell["rms"] == float(np.sqrt(np.mean(err**2)))
+
+
+@pytest.mark.parametrize("command", ["drift-check", "regularity"])
+def test_check_commands_on_the_closed_form_run_mc_grad_at_m_64(tmp_path, capsys, command):
+    default = _write(tmp_path, GOOD.replace("drift = mc-grad\nmc_size = 8\n", ""), "a.ini")
+    explicit = _write(tmp_path, GOOD.replace("mc_size = 8", "mc_size = 64"), "b.ini")
+    assert main([command, "--config", default]) == 0
+    got = capsys.readouterr().out
+    assert main([command, "--config", explicit]) == 0
+    assert got == capsys.readouterr().out
 
 
 def test_config_that_is_not_utf8_is_exit_2(tmp_path, capsys):
