@@ -16,6 +16,18 @@ u_j Z_j) and the weights u_j are summed along the m probes in one call, so
 numerator and denominator share one summation order, constant ratios come
 out exact, and no particle's sum depends on the tile it is evaluated in.
 
+The estimators run tile by tile, a few dozen particles at a time. Each
+pool task (each call, with one worker) owns one ``_Workspace`` that all its
+tiles reuse: every pass writes with ``out=`` into it, so a tile allocates
+nothing of its probes' size. In mc-grad on a mixture whose callables are its
+own, the probes are built channel-major, one contiguous row of particles
+times m values per coordinate, and the mixture's one softmax pass reads
+them as its transposed (particles * m, p) view without strided reads and
+writes log f and grad log f straight into the (p + 1, particles, m)
+channel buffer. Target callables still get C-order (particles * m, p)
+probes. Either way every value comes from the same operations in the same
+order, so the two layouts give the same bits.
+
 For Gaussian mixtures the semigroup acts in closed form: smoothing only
 rescales each component's correction term, so the drift is the
 softmax-weighted average of the component means and needs no sampling.
@@ -23,7 +35,6 @@ softmax-weighted average of the component means and needs no sampling.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,7 +55,13 @@ def default_drift_mode(target):
     return "mc-grad" if target.grad_log_f is not None else "mc-stein"
 
 
-_CHUNK_VALUES = 1 << 14  # values in a drift tile's (particles, p + 1, m) channel buffer
+# Values in a drift tile's (p + 1, particles, m) channel buffer. A tile's
+# buffers (draws, probes, channels, softmax scratch) hold about 3p + k + 3
+# values a probe (k mixture components), under 1 MiB at p = k = 2,
+# m = 256. On the 2-D mixture at n = 4096, m = 256, 32 Ki ran 6-8 %
+# faster than 16 Ki in paired runs (2-core Xeon, 2 MiB L2 a core) and
+# 64 Ki no faster than 32 Ki.
+_CHUNK_VALUES = 1 << 15
 _TASK_TILES = 64  # most tiles per pool task; a task per tile lost more to hand-offs than it saved
 
 
@@ -97,10 +114,11 @@ class DriftEvaluator:
         of a Monte-Carlo estimate uses the probes of particle i at step
         ``step_index``, the same bytes a direct call with that particle
         index gives. Rows run in cache-sized tiles whose probes the calling
-        thread draws in order. With ``workers`` above 1, pool tasks take spans
-        of whole tiles, at most 2 * workers in flight; results are taken in
-        order, so the first failing particle is the one raised, and the
-        threads are joined before the call returns or raises.
+        thread draws in order, into one reused buffer when there is one
+        worker. With ``workers`` above 1, pool tasks take spans of whole
+        tiles, at most 2 * workers in flight; results are taken in order, so
+        the first failing particle is the one raised, and the threads are
+        joined before the call returns or raises.
         """
         points, _ = _coerce(points, self.target.dim)
         if self.mode == "exact":
@@ -119,25 +137,29 @@ class DriftEvaluator:
         workers = self.workers if n > 1 else 1  # a pool for one row costs more than the row
         tile = max(1, _CHUNK_VALUES // (self.m * (p + 1)))
         span = tile if workers == 1 else min(-(-n // workers), _TASK_TILES * tile)
+        rows = min(tile, n)
 
-        def run(start, z):
+        def run(start, z, ws):
             for lo in range(start, start + len(z), tile):
                 hi = min(lo + tile, start + len(z))
                 out[lo:hi] = _mc_drift_core(
                     self.target, points[lo:hi], t, z[lo - start:hi - start], self.mode,
-                    step_index=step_index, particle_offset=first_row + lo,
+                    step_index=step_index, particle_offset=first_row + lo, ws=ws,
                 )
 
-        with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        if workers == 1:
+            ws, z = _Workspace(self.target, self.mode, rows, self.m, p), np.empty((rows, self.m, p))
+            for start in range(0, n, tile):
+                run(start, gen.standard_normal(out=z[:min(tile, n - start)]), ws)
+            return out
+        with ThreadPoolExecutor(workers) as pool:
             pending = []
             for start in range(0, n, span):
                 z = gen.standard_normal((min(span, n - start), self.m, p))
-                if pool is None:
-                    run(start, z)
-                    continue
                 if len(pending) == 2 * workers:
                     pending.pop(0).result()
-                pending.append(pool.submit(run, start, z))
+                ws = _Workspace(self.target, self.mode, rows, self.m, p)
+                pending.append(pool.submit(run, start, z, ws))
             for fut in pending:
                 fut.result()
         return out
@@ -165,7 +187,28 @@ def drift_exact(target, x, t):
     return np.asarray(b[0]) if single else b
 
 
-def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset):
+class _Workspace:
+    """The buffers of ``_mc_drift_core`` for tiles of up to ``rows`` particles.
+
+    One thread reuses them tile after tile, so the kernel allocates only
+    arrays of one value or a few a particle. The probes are laid out channel-major, as
+    (p, rows * m), when the mixture's one softmax pass takes them, and
+    C-order, as (rows * m, p), when a target callable sees them. ``ext``
+    holds the (p + 1, particles, m) channels u * vec_j and u; the one pass
+    writes grad log f and log f straight into them.
+    """
+
+    def __init__(self, target, mode, rows, m, p):
+        mix = target.mixture
+        self.fused = (mode == "mc-grad" and mix is not None and mix.log_ratio == target.log_f
+                      and mix.grad_log_ratio == target.grad_log_f)
+        self.probes = np.empty(rows * m * p)
+        self.ext = np.empty((p + 1, rows, m))
+        self.acc = np.empty((p + 1, rows))
+        self.softmax = mix._softmax_work(rows * m) if self.fused else None
+
+
+def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset, ws=None):
     """Shared-batch estimate for a batch of points.
 
     Args:
@@ -174,39 +217,51 @@ def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset):
         mode: "mc-grad" or "mc-stein".
         step_index, particle_offset: stream coordinates for diagnostics;
             row i of ``points`` is particle ``particle_offset + i``.
+        ws: a ``_Workspace`` for at least n particles, or None for a new one.
 
     Returns:
         (n, p) drift estimates. Raises UnsupportedTargetError when log f
-        does not return shape (n * m,) or grad log f (n * m, p).
+        does not return shape (n * m,) or grad log f (n * m, p), when log f
+        is NaN at a probe, and when a particle's sums are not finite (log f
+        of +inf, or a non-finite grad log f where f > 0).
 
     A mixture target whose callables are still the mixture's own gets log f
     and its gradient from one softmax pass in mc-grad; replaced callables
     (``dataclasses.replace(target, log_f=...)``) are called as given.
     """
     n, m, p = z.shape
+    ws = _Workspace(target, mode, n, m, p) if ws is None else ws
     root = math.sqrt(1.0 - t)
-    # Every elementwise pass runs along m; an inner loop of length p is slow.
-    probes = z * root
+
+    def at(i):
+        return f"(particle {particle_offset + i}, step {step_index}, t = {t})"
+
+    # The probes as channels (p, n, m) over the workspace's layout; every
+    # elementwise pass runs along m, as an inner loop of length p is slow.
+    buf = ws.probes[:n * m * p]
+    chans = buf.reshape(p, n, m) if ws.fused else buf.reshape(n, m, p).transpose(2, 0, 1)
+    np.multiply(z.transpose(2, 0, 1), root, out=chans)
     for j in range(p):
-        probes[:, :, j] += points[:, j, None]
-    probes = probes.reshape(n * m, p)
-    mix = target.mixture
-    fused = (mode == "mc-grad" and mix is not None and mix.log_ratio == target.log_f
-             and mix.grad_log_ratio == target.grad_log_f)
-    if fused:
-        lf, vec = mix.log_ratio_and_grad(probes)
+        chans[j] += points[:, j, None]
+    probes = chans.reshape(p, n * m).T
+    ext = ws.ext[:, :n]  # channel j is u * vec_j, channel p is u
+    u = ext[p]
+    if ws.fused:
+        target.mixture.log_ratio_and_grad(
+            probes, u.reshape(n * m), ext[:p].reshape(p, n * m), ws.softmax)
+        lf, vec = u, ext[:p]
     else:
-        lf = _returned(target, "log_f", target.log_f(probes), (n * m,))
-    lf = lf.reshape(n, m)
-    mx = lf.max(axis=1)
-    if np.isnan(mx).any():  # max propagates NaN
-        raise ValueError("target log density returned NaN at a drift probe")
-    dead = np.isneginf(mx)
-    if dead.any():
-        i = int(np.argmax(dead))
+        lf = _returned(target, "log_f", target.log_f(probes), (n * m,)).reshape(n, m)
+    mx = lf.max(axis=1)  # in log f's own dtype, in which lf - mx is taken
+    low = mx.min()  # max and min propagate NaN
+    if np.isnan(low):
+        i = int(np.argmax(np.isnan(mx)))
+        raise UnsupportedTargetError(
+            f"target log density returned NaN at a drift probe {at(i)}")
+    if low == -np.inf:
+        i = int(np.argmax(mx == -np.inf))
         raise DriftSingularityError(
-            f"all {m} drift probes fell where f = 0 "
-            f"(particle {particle_offset + i}, step {step_index}, t = {t})",
+            f"all {m} drift probes fell where f = 0 {at(i)}",
             x=points[i].copy(),
             t=t,
             step_index=step_index,
@@ -214,22 +269,27 @@ def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset):
         )
     if mode == "mc-stein":
         vec = z.transpose(2, 0, 1)
-    elif not fused:
+    elif not ws.fused:
         vec = _returned(target, "grad_log_f", target.grad_log_f(probes), (n * m, p)).T
-    vec = vec.reshape(p, n, m)  # channel j of the integrand is vec[j]
-    # Channels u * vec_j and u, each contiguous along m, summed in one call:
-    # all share numpy's pairwise tree, and each row is summed on its own.
-    ext = np.empty((n, p + 1, m))
-    u = ext[:, p]
+        vec = vec.reshape(p, n, m)
+    # In place where the one pass wrote log f into u and vec_j into channel j.
     np.subtract(lf, mx[:, None], out=u)
     np.exp(u, out=u)
     for j in range(p):
-        np.multiply(u, vec[j], out=ext[:, j])
+        np.multiply(u, vec[j], out=ext[j])
     # u is 0 where f = 0 and grad log f may not be finite; a mixture's f never is.
-    if mode == "mc-grad" and not fused and lf.min() == -np.inf:
-        np.copyto(ext[:, :p], 0.0, where=np.isneginf(lf)[:, None, :])
-    acc = ext.sum(axis=2)
-    b = acc[:, :p] / acc[:, p:]
+    if mode == "mc-grad" and not ws.fused and lf.min() == -np.inf:
+        np.copyto(ext[:p], 0.0, where=np.isneginf(lf))
+    # Every channel row is contiguous along m and summed in one call: all
+    # share numpy's pairwise tree, and each row is summed on its own.
+    acc = np.add.reduce(ext, axis=2, out=ws.acc[:, :n])
+    if not np.isfinite(acc).all():
+        i = int(np.argmin(np.isfinite(acc).all(axis=0)))
+        raise UnsupportedTargetError(
+            f"{target.name!r} gave non-finite drift sums, from a log f of +inf or a non-finite "
+            f"grad log f where f > 0 {at(i)}")
+    b = np.empty((n, p))
+    np.divide(acc[:p], acc[p], out=b.T)
     if mode == "mc-stein":
         b /= root
     return b

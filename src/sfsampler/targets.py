@@ -134,35 +134,47 @@ class GaussianMixture:
     def n_components(self):
         return self.means.shape[0]
 
-    def _softmax_pass(self, x, t, value=None, grad=None):
+    def _softmax_work(self, n):
+        """Scratch for ``_softmax_pass`` over n points: (k + 2) values a point of one block."""
+        return np.empty((self.n_components + 2) * min(n, _SOFTMAX_BLOCK))
+
+    def _softmax_pass(self, x, t, value=None, grad=None, work=None):
         """log Q_{1-t} f into ``value`` (n,) and its gradient into ``grad`` (p, n).
 
         Either output may be None; both come from one softmax of the logits
         log w_i + m_i . x_j - t |m_i|^2 / 2, and at t = 1 they are log f and
         grad log f. The points go in blocks of _SOFTMAX_BLOCK, so the (k, b)
-        exps and the temporaries stay in cache. Sums over the short axes
-        (p and k) are elementwise passes in a fixed order, not matmul or a
-        reduction, which round a point differently depending on how many
-        points come with it: the drift of one point must not depend on the
-        points evaluated beside it. The gradient is the softmax-weighted
-        mean of the means.
+        exps and the temporaries stay in cache. Every pass reads a coordinate
+        as the row ``x.T[j]``: a channel-major x, the transpose of a C-order
+        (p, n) array, is read without strides. Every pass writes with ``out=``
+        into the outputs or into ``work``, scratch from ``_softmax_work``
+        (allocated here when None). Sums over the short axes (p and k) are
+        elementwise passes in a fixed order, not matmul or a reduction, which
+        round a point differently depending on how many points come with it:
+        the drift of one point must not depend on the points evaluated beside
+        it. The gradient is the softmax-weighted mean of the means.
         """
         c = self._log_w - t * self._half_sq
         xt = x.T
-        n = x.shape[0]
-        buf = np.empty((self.n_components, min(n, _SOFTMAX_BLOCK)))
+        n, k = x.shape[0], self.n_components
+        if work is None:
+            work = self._softmax_work(n)
         for lo in range(0, n, _SOFTMAX_BLOCK):
             rows = slice(lo, min(n, lo + _SOFTMAX_BLOCK))
-            u = buf[:, : rows.stop - lo]
+            size = rows.stop - lo
+            u = work[: k * size].reshape(k, size)
+            mx, total = work[k * size: (k + 2) * size].reshape(2, size)
+            tmp = total  # products go here before the sum is taken and after it is divided out
             for row, mean, ci in zip(u, self.means, c):
                 np.multiply(xt[0, rows], mean[0], out=row)
                 for j in range(1, self.dim):
-                    row += mean[j] * xt[j, rows]
+                    np.multiply(xt[j, rows], mean[j], out=tmp)
+                    row += tmp
                 row += ci
-            mx = u.max(axis=0)
+            np.maximum.reduce(u, axis=0, out=mx)
             u -= mx
             np.exp(u, out=u)
-            total = u[0].copy()
+            np.copyto(total, u[0])
             for row in u[1:]:
                 total += row
             if value is not None:
@@ -172,8 +184,9 @@ class GaussianMixture:
                 u /= total
                 for j, col in enumerate(grad[:, rows]):
                     np.multiply(u[0], self.means[0, j], out=col)
-                    for i in range(1, self.n_components):
-                        col += self.means[i, j] * u[i]
+                    for i in range(1, k):
+                        np.multiply(u[i], self.means[i, j], out=tmp)
+                        col += tmp
 
     def log_ratio(self, x):
         out = np.empty(x.shape[0])
@@ -186,10 +199,14 @@ class GaussianMixture:
         self._softmax_pass(x, t, grad=g.T)
         return g
 
-    def log_ratio_and_grad(self, x):
-        """log f as (n,) and grad log f channel-major as (p, n), from one softmax pass."""
-        value, grad = np.empty(x.shape[0]), np.empty((self.dim, x.shape[0]))
-        self._softmax_pass(x, 1.0, value, grad)
+    def log_ratio_and_grad(self, x, value=None, grad=None, work=None):
+        """log f as (n,) and grad log f channel-major as (p, n), from one softmax pass.
+
+        Outputs left None are allocated; ``work`` is ``_softmax_pass``'s scratch.
+        """
+        value = np.empty(x.shape[0]) if value is None else value
+        grad = np.empty((self.dim, x.shape[0])) if grad is None else grad
+        self._softmax_pass(x, 1.0, value, grad, work)
         return value, grad
 
     def sample(self, n, gen):

@@ -4,6 +4,7 @@ scale invariance, singularity reporting, and regularity probes."""
 import dataclasses
 import math
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -360,28 +361,31 @@ def test_batch_checks_its_points_in_every_mode(mode, points, message):
 
 @st.composite
 def mixture_drift_cases(draw):
-    k, p = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    k, p = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
     means = draw(st.lists(st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p),
                           min_size=k, max_size=k))
     target = gaussian_mixture_target(raw / raw.sum(), means)
     if draw(st.booleans()):
         target = regularize(target, draw(st.floats(0.01, 0.5)))
-    n = draw(st.integers(1, 30))
+    n = draw(st.integers(1, 60))
     pts = np.array(draw(st.lists(st.lists(st.floats(-4.0, 4.0), min_size=p, max_size=p),
                                  min_size=n, max_size=n)))
     return dict(
-        target=target, pts=pts, t=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        target=target, pts=pts, t=draw(st.floats(0.0, 1.0)),
         m=draw(st.integers(1, 300)), seed=draw(st.integers(0, 99)),
         workers=draw(st.sampled_from([1, 3])),
+        chunk_values=draw(st.sampled_from([1, 100, 2000, _drift._CHUNK_VALUES])),
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(mixture_drift_cases())
 def test_one_pass_mixture_drift_equals_the_two_call_drift_bit_for_bit(case):
     # Plain lambdas are not the mixture's own methods, so they take the
-    # two-call path with user-target checks.
+    # two-call path with user-target checks: C-order probes where the one
+    # pass reads them channel-major, and fresh outputs where it reuses the
+    # tile workspace. Small chunk sizes put tile edges inside every batch.
     target = case["target"]
     mix = target.mixture
     wrapped = dataclasses.replace(
@@ -392,7 +396,24 @@ def test_one_pass_mixture_drift_equals_the_two_call_drift_bit_for_bit(case):
                             workers=case["workers"])
         return ev.batch(case["pts"], case["t"], 1)
 
-    assert np.array_equal(drift(target), drift(wrapped))
+    with mock.patch.object(_drift, "_CHUNK_VALUES", case["chunk_values"]):
+        assert np.array_equal(drift(target), drift(wrapped))
+
+
+def test_a_drift_batch_allocates_far_less_than_its_probe_block():
+    # Tiles stay cache-sized and the workspace is sized by a tile, not the step.
+    n, m, p = 4096, 256, 2
+    target = gaussian_mixture_target([0.5, 0.5], [[2.0, 0.0], [-2.0, 0.0]])
+    ev = DriftEvaluator(target, "mc-grad", m=m, seed=1, workers=1)
+    pts = np.random.default_rng(0).standard_normal((n, p))
+    ev.batch(pts, 0.5, 0)  # warm up lazily built state
+    tracemalloc.start()
+    try:
+        ev.batch(pts, 0.5, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * m * p * 8 / 4
 
 
 @pytest.mark.parametrize("mode", ["mc-grad", "mc-stein"])
@@ -424,7 +445,8 @@ def test_replaced_mixture_callables_are_the_ones_called(mode):
 
 def test_the_drift_rejects_a_nan_log_f():
     bad = dataclasses.replace(MIX, log_f=lambda x: np.where(x[:, 0] > 0.0, np.nan, MIX.log_f(x)))
-    with pytest.raises(ValueError, match="returned NaN at a drift probe"):
+    with pytest.raises(UnsupportedTargetError,
+                       match=r"returned NaN at a drift probe \(particle 0, step 0, t = 0\.5\)"):
         drift_mc_stein(DriftEvaluator(bad, "mc-stein", m=8), np.array([0.3]), 0.5)
 
 

@@ -187,19 +187,26 @@ def test_trajectory_budget_guard():
         sfs_run(cfg, MIX, trajectory_budget=1000)
 
 
+def _broken_grad(value):
+    return from_potential(lambda x: 0.5 * np.sum(x * x, axis=1),
+                          lambda x: np.full_like(x, value), dim=1, name="broken-grad")
+
+
 def test_nonfinite_drift_is_reported_with_context():
-    bad = from_potential(
-        lambda x: 0.5 * np.sum(x * x, axis=1),
-        lambda x: np.full_like(x, np.nan),
-        dim=1,
-        name="broken-grad",
-    )
+    # A NaN gradient where f > 0 is the target's fault, found in the kernel's
+    # sums before any state moves: exit 4, not a non-finite state after step 0.
     cfg = SamplerConfig(steps=3, particles=5, seed=0, drift="mc-grad", mc_size=4)
-    with pytest.raises(NonFiniteStateError) as err:
-        sfs_run(cfg, bad)
-    assert err.value.step_index == 0
-    assert err.value.particle_index is not None
-    assert str(err.value) == "particle 0 became non-finite after step 0"
+    with pytest.raises(UnsupportedTargetError) as err:
+        sfs_run(cfg, _broken_grad(np.nan))
+    assert str(err.value).startswith("'broken-grad' gave non-finite drift sums")
+    assert str(err.value).endswith("(particle 0, step 0, t = 0.0)")
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_infinite_gradient_where_f_is_positive_is_unsupported(value):
+    cfg = SamplerConfig(steps=3, particles=5, seed=0, drift="mc-grad", mc_size=4)
+    with pytest.raises(UnsupportedTargetError, match=r"\(particle 0, step 0, t = 0\.0\)"):
+        sfs_run(cfg, _broken_grad(value), workers=2)
 
 
 def test_nonfinite_langevin_chain_is_the_first_bad_one():

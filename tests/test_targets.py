@@ -134,6 +134,24 @@ def test_mixture_softmax_matches_point_major_reference(case):
     assert target.grad_log_f(x).flags.c_contiguous
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 3), st.integers(1, 9), st.floats(0.0, 1.0),
+       st.integers(0, 99))
+def test_mixture_pass_of_one_point_equals_its_row_in_a_batch(k, p, n, t, seed):
+    # A reduction over the k component rows of a one-point block is pairwise
+    # in numpy from k = 8 on, and would round differently from the
+    # sequential sum the same point gets inside a wider block.
+    gen = np.random.default_rng(seed)
+    raw = gen.uniform(0.05, 1.0, k)
+    target = gaussian_mixture_target(raw / raw.sum(), gen.uniform(-3.0, 3.0, (k, p)))
+    x = gen.uniform(-4.0, 4.0, (n, p))
+    lf, grad, drift = target.log_f(x), target.grad_log_f(x), drift_exact(target, x, t)
+    for i in range(n):
+        assert np.array_equal(target.log_f(x[i:i + 1]), lf[i:i + 1])
+        assert np.array_equal(target.grad_log_f(x[i:i + 1]), grad[i:i + 1])
+        assert np.array_equal(drift_exact(target, x[i:i + 1], t), drift[i:i + 1])
+
+
 def test_mixture_weights_validation():
     with pytest.raises(ValueError):
         gaussian_mixture_target([0.5, 0.6], [[1.0], [-1.0]])
