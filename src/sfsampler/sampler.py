@@ -180,13 +180,16 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
 
     start = time.perf_counter()
     y = np.zeros((n, p))
+    inc = np.empty((n, p))
     s = 1.0 / k_steps
     root_s = math.sqrt(s)
     for k in range(k_steps):
         b = ev.batch(y, k / k_steps, k)
-        inc = _rng.substream(config.seed, _rng.ROLE_INCREMENT, k).standard_normal((n, p))
-        y += s * b
-        y += root_s * inc
+        _rng.substream(config.seed, _rng.ROLE_INCREMENT, k).standard_normal(out=inc)
+        b *= s  # y += s * b, then y += root_s * inc, with no temporaries
+        y += b
+        inc *= root_s
+        y += inc
         _check_finite(y, "particle {} became non-finite after step {}", k)
         if trajectories is not None:
             trajectories[:, k + 1] = y
