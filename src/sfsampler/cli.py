@@ -116,7 +116,7 @@ def _cmd_sample(args):
 
 
 def _mc_evaluator(args):
-    """The Monte-Carlo evaluator of the check commands, on ``--workers`` threads, and the config.
+    """The Monte-Carlo evaluator of the check commands, on ``--workers`` threads.
 
     m defaults to 64. The run's own drift and floor resolve first, so every
     config ``sample`` refuses is refused here; a closed-form run is then checked
@@ -129,14 +129,14 @@ def _mc_evaluator(args):
     if ev.mode == "exact":
         mode = "mc-grad" if target.grad_log_f is not None else "mc-stein"
         ev, _ = _run_evaluator(replace(config, drift=mode), target, args.workers)
-    return ev, config
+    return ev
 
 
 def _cmd_drift_check(args):
-    ev, config = _mc_evaluator(args)
+    ev = _mc_evaluator(args)
     target = ev.target
     grid = ProbeGrid()
-    pts = probe_points(grid, target.dim, seed=config.seed)
+    pts = probe_points(grid, target.dim, seed=ev.seed)
     cells = []
     worst = 0.0
     for t in grid.t_values:
@@ -153,7 +153,7 @@ def _cmd_drift_check(args):
         "mc_size": ev.m,
         "mode": ev.mode,
         "n_points": int(len(pts)),
-        "seed": config.seed,
+        "seed": ev.seed,
         "target": target.name,
     }
 
@@ -190,9 +190,9 @@ def _cmd_compare(args):
 
 
 def _cmd_regularity(args):
-    evaluator, config = _mc_evaluator(args)  # the evaluator is unused on a closed form
-    target = evaluator.target
-    estimate = estimate_regularity(target, seed=config.seed, evaluator=evaluator)
+    ev = _mc_evaluator(args)
+    target = ev.target
+    estimate = estimate_regularity(ev, seed=ev.seed)
     report = {"command": "regularity", "estimate": asdict(estimate), "target": target.name}
     if target.regularity is not None:
         reg = target.regularity

@@ -382,31 +382,25 @@ class RegularityEstimate:
     n_points: int
 
 
-def estimate_regularity(target, grid=None, seed=0, evaluator=None):
+def estimate_regularity(evaluator, grid=None, seed=0):
     """Probe the drift-growth conditions numerically.
 
-    Uses the closed-form drift for mixture targets; otherwise an evaluator
-    must be supplied and its Monte-Carlo estimator is probed instead (the
-    estimate then inherits that estimator's noise).
+    Probes ``evaluator``'s drift, so its Monte-Carlo noise is part of the
+    estimate; on a mixture target the closed form is probed in its place.
 
     Args:
-        target: TargetSpec to probe.
+        evaluator: DriftEvaluator whose target and drift are probed.
         grid: ProbeGrid, defaulting to the standard [-5, 5] box.
         seed: seed for random directions in high dimension.
-        evaluator: DriftEvaluator for non-mixture targets.
 
     Returns:
         RegularityEstimate with c0_hat, c1_hat, b_sup_hat.
     """
-    if target.mixture is not None:
-        evaluator = DriftEvaluator(target=target, mode="exact")
-    elif evaluator is None:
-        raise UnsupportedTargetError(
-            "non-mixture targets need a DriftEvaluator to probe the drift"
-        )
+    if evaluator.target.mixture is not None:
+        evaluator = DriftEvaluator(target=evaluator.target, mode="exact")
     if grid is None:
         grid = ProbeGrid()
-    pts = probe_points(grid, target.dim, seed)
+    pts = probe_points(grid, evaluator.target.dim, seed)
     ts = [float(t) for t in grid.t_values]
     n = pts.shape[0]
     drifts = [evaluator.batch(pts, t, k) for k, t in enumerate(ts)]

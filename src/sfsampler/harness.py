@@ -219,8 +219,6 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, ula_post_steps=
     if target.sampler is None:
         raise UnsupportedTargetError(
             f"a comparison scores against ground truth; target {target.name!r} has no sampler")
-    if target.grad_log_f is None:
-        raise UnsupportedTargetError(f"Langevin needs grad log f, {target.name!r} has none")
     ev, _ = _run_evaluator(config, target)
     if ev.mode == "exact":
         raise ValueError(
@@ -228,7 +226,6 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, ula_post_steps=
             "evaluator has no per-step evaluation count"
         )
     total = config.steps * ev.m
-    ula_step_size = check_real("step_size", ula_step_size, low=0.0)
     ula_burn_in = check_int("ula_burn_in", ula_burn_in, minimum=0)
     if ula_post_steps is None:
         ula_post_steps = total - ula_burn_in
@@ -244,9 +241,10 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, ula_post_steps=
                 f"Langevin iterations, but the diffusion run uses {total} evaluations"
             )
 
-    sfs_batch = sfs_run(config, target, workers=workers)
+    # Langevin first, so its checks refuse bad input before any diffusion work.
     ula_cfg = dataclasses.replace(config, steps=ula_post_steps, eps=EpsSchedule())
     ula_batch = ula_run(ula_cfg, target, ula_step_size, ula_burn_in)
+    sfs_batch = sfs_run(config, target, workers=workers)
 
     gt_seed = _rng.child_seeds(config.seed, 0, 1)[0]
     truth = sample_ground_truth(target, config.particles, gt_seed).samples
@@ -264,7 +262,7 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, ula_post_steps=
             "per_particle": total,
             "ula_burn_in": ula_burn_in,
             "ula_post_steps": ula_post_steps,
-            "ula_step_size": ula_step_size,
+            "ula_step_size": ula_batch.config["ula"]["step_size"],
         },
         "config_digest": sfs_batch.config_digest,
         "sfs": score(sfs_batch.samples),

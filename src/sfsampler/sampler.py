@@ -10,7 +10,7 @@ only split its evaluation across particles, never the draws, so results
 are byte-identical for any worker count.
 
 Also provides an unadjusted Langevin baseline over the same targets for
-budget-matched comparisons.
+budget-matched comparisons, run by the same Euler-Maruyama loop.
 """
 
 from __future__ import annotations
@@ -131,11 +131,27 @@ def _run_evaluator(config, target, workers=1):
     return (dataclasses.replace(ev, target=regularize(target, eps)) if eps > 0.0 else ev), eps
 
 
-def _check_finite(x, message, step):
-    """Raise NonFiniteStateError for the first non-finite row of x, formatted into message."""
-    if not np.isfinite(x).all():
-        bad = int(np.argmin(np.isfinite(x).all(axis=1)))
-        raise NonFiniteStateError(message.format(bad, step), particle_index=bad, step_index=step)
+def _euler_maruyama(x, drift, h, scale, seed, role, steps, message, path=None):
+    """Take ``steps`` in-place steps x += h * drift(x, k) + scale * xi_k; return x.
+
+    xi_k is the (seed, role, k) block, drawn into one reused buffer, and the
+    drift's fresh array is scaled in place. The first non-finite row raises
+    NonFiniteStateError(message.format(row, k)); ``path[:, k + 1]`` gets x.
+    """
+    inc = np.empty_like(x)
+    for k in range(steps):
+        b = drift(x, k)
+        _rng.substream(seed, role, k).standard_normal(out=inc)
+        b *= h  # x += h * b, then x += scale * inc, with no temporaries
+        x += b
+        inc *= scale
+        x += inc
+        if not np.isfinite(x).all():
+            bad = int(np.argmin(np.isfinite(x).all(axis=1)))
+            raise NonFiniteStateError(message.format(bad, k), particle_index=bad, step_index=k)
+        if path is not None:
+            path[:, k + 1] = x
+    return x
 
 
 def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_BUDGET):
@@ -179,21 +195,10 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
         trajectories = np.zeros((n, k_steps + 1, p))
 
     start = time.perf_counter()
-    y = np.zeros((n, p))
-    inc = np.empty((n, p))
-    s = 1.0 / k_steps
-    root_s = math.sqrt(s)
-    for k in range(k_steps):
-        b = ev.batch(y, k / k_steps, k)
-        _rng.substream(config.seed, _rng.ROLE_INCREMENT, k).standard_normal(out=inc)
-        b *= s  # y += s * b, then y += root_s * inc, with no temporaries
-        y += b
-        inc *= root_s
-        y += inc
-        _check_finite(y, "particle {} became non-finite after step {}", k)
-        if trajectories is not None:
-            trajectories[:, k + 1] = y
-
+    y = _euler_maruyama(
+        np.zeros((n, p)), lambda x, k: ev.batch(x, k / k_steps, k),
+        1.0 / k_steps, math.sqrt(1.0 / k_steps), config.seed, _rng.ROLE_INCREMENT, k_steps,
+        "particle {} became non-finite after step {}", trajectories)
     return SampleBatch.record(y, resolved, config.seed, start, trajectories)
 
 
@@ -207,9 +212,11 @@ def ula_run(config, target, step_size, burn_in):
     """Unadjusted Langevin baseline: n parallel chains, terminal states kept.
 
     Each chain starts from the base Gaussian and runs burn_in plus
-    config.steps iterations of x <- x + h grad log pi(x) + sqrt(2h) noise,
-    where pi is the target density. The eps schedule does not apply here
-    and must be "none".
+    config.steps iterations of x <- x + h grad log pi(x) + sqrt(2h) xi_k,
+    where pi is the target density: ``sfs_run``'s Euler-Maruyama loop, with
+    xi_k from the Langevin step streams. The eps schedule must be "none". A
+    chain that leaves the finite range raises NonFiniteStateError, the first
+    such chain and its iteration in the message.
 
     Args:
         config: SamplerConfig; steps counts post-burn-in iterations, and
@@ -234,11 +241,9 @@ def ula_run(config, target, step_size, burn_in):
                        ula={"burn_in": burn_in, "step_size": step_size, "total_steps": total})
 
     start = time.perf_counter()
-    x = _rng.substream(config.seed, _rng.ROLE_ULA_INIT, 0).standard_normal((n, p))
-    noise_scale = math.sqrt(2.0 * step_size)
-    for it in range(total):
-        g = _returned(target, "grad_log_f", target.grad_log_f(x), (n, p)) - x
-        x = x + step_size * g
-        x += noise_scale * _rng.substream(config.seed, _rng.ROLE_ULA_STEP, it).standard_normal((n, p))
-        _check_finite(x, "Langevin chain {} became non-finite after iteration {}", it)
+    x = _euler_maruyama(
+        _rng.substream(config.seed, _rng.ROLE_ULA_INIT, 0).standard_normal((n, p)),
+        lambda x, k: _returned(target, "grad_log_f", target.grad_log_f(x), (n, p)) - x,
+        step_size, math.sqrt(2.0 * step_size), config.seed, _rng.ROLE_ULA_STEP, total,
+        "Langevin chain {} became non-finite after iteration {}")
     return SampleBatch.record(x, resolved, config.seed, start)

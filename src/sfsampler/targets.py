@@ -124,7 +124,10 @@ class GaussianMixture:
         self.weights = weights
         self.means = means
         self._log_w = np.log(weights)
-        self._half_sq = 0.5 * np.sum(means * means, axis=1)
+        with np.errstate(over="ignore"):
+            self._half_sq = 0.5 * np.sum(means * means, axis=1)
+        if not np.isfinite(self._half_sq).all():
+            raise ValueError("mixture means must have a finite |m|^2 / 2")
 
     @property
     def dim(self):

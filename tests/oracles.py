@@ -1,8 +1,10 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately slow and simple: finite differences,
-adaptive quadrature, permutation search, dense grid scans. None of it
-shares code with the package.
+adaptive quadrature, permutation search, dense grid scans, and plain
+Euler-Maruyama loops. None of it shares code with the package, save that
+the loops take its random streams and drift as given and check only the
+integration around them.
 """
 
 import itertools
@@ -11,6 +13,39 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+
+from sfsampler import rng
+
+
+def sfs_reference(ev, seed, steps, n):
+    """Terminal states and (n, steps + 1, p) path of a plain diffusion loop.
+
+    Starts at the origin; step k adds (1/K) times ``ev``'s drift at t = k/K
+    and sqrt(1/K) times the (seed, increment, k) block.
+    """
+    h = 1.0 / steps
+    y = np.zeros((n, ev.target.dim))
+    path = [y]
+    for k in range(steps):
+        y = y + h * ev.batch(y, k / steps, k)
+        noise = rng.substream(seed, rng.ROLE_INCREMENT, k).standard_normal(y.shape)
+        y = y + math.sqrt(h) * noise
+        path.append(y)
+    return y, np.stack(path, axis=1)
+
+
+def ula_reference(target, seed, step_size, iterations, n):
+    """Terminal states of a plain unadjusted Langevin loop.
+
+    Chains start at the (seed, ula-init) block; iteration k adds h times
+    grad log pi = grad log f - x and sqrt(2h) times the (seed, ula-step, k) block.
+    """
+    x = rng.substream(seed, rng.ROLE_ULA_INIT, 0).standard_normal((n, target.dim))
+    for k in range(iterations):
+        x = x + step_size * (target.grad_log_f(x) - x)
+        noise = rng.substream(seed, rng.ROLE_ULA_STEP, k).standard_normal(x.shape)
+        x = x + math.sqrt(2.0 * step_size) * noise
+    return x
 
 
 def fd_grad(log_f, x, h=1e-5):

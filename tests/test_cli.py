@@ -393,6 +393,43 @@ def test_sweep_and_compare_commands(tmp_path, capsys):
     assert os.path.exists(os.path.join(cmp_out, "comparison.json"))
 
 
+def test_a_diverging_langevin_chain_in_compare_is_exit_5_with_context(tmp_path, capsys):
+    # h = 5 multiplies a chain by about -4 per iteration, so 10 * 64 iterations
+    # overflow; Langevin runs first, so the diffusion sampler never starts.
+    cfg = _write(tmp_path, GOOD.replace("step_size = 0.05", "step_size = 5"))
+    out = os.path.join(tmp_path, "o")
+    with mock.patch.object(harness, "sfs_run", side_effect=AssertionError("sampler ran")) as run:
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["compare", "--config", cfg, "--out", out, "--mc-size", "64"]) == 5
+    assert not run.called
+    payload = _json_out(capsys)
+    context = payload.pop("context")
+    assert sorted(context) == ["particle_index", "step_index"]
+    assert 0 <= context["particle_index"] < 128 and 0 < context["step_index"] < 640
+    assert payload == {
+        "error": "NonFiniteStateError",
+        "exit": 5,
+        "message": "Langevin chain {particle_index} became non-finite after iteration "
+                   "{step_index}".format(**context),
+    }
+    assert not os.path.exists(os.path.join(out, "comparison.json"))
+
+
+@pytest.mark.parametrize("command", ["sample", "drift-check"])
+@pytest.mark.parametrize("target", ["kind = gaussian\nmean = 1e200",
+                                    "kind = mixture\nweights = 0.5 0.5\nmeans = 1e200; -1e200"],
+                         ids=["gaussian", "mixture"])
+def test_mixture_means_that_overflow_are_exit_4_before_any_file(tmp_path, capsys, command,
+                                                                target):
+    cfg = _write(tmp_path, f"[target]\n{target}\n\n[run]\nseed = 1\nsteps = 4\nparticles = 8\n")
+    out = os.path.join(tmp_path, "o")
+    assert main([command, "--config", cfg, "--out", out]) == 4
+    payload = _json_out(capsys)
+    assert payload["error"] == "ValueError"
+    assert payload["message"] == "mixture means must have a finite |m|^2 / 2"
+    assert not os.path.exists(out)
+
+
 def test_compare_with_exact_drift_is_exit_4(tmp_path, capsys):
     cfg = _write(tmp_path, GOOD)
     assert main(["compare", "--config", cfg, "--out", os.path.join(tmp_path, "o"),
@@ -460,7 +497,7 @@ def test_check_commands_without_a_floor_use_the_target_as_given(tmp_path, capsys
     assert main(["regularity", "--config", cfg]) == 0
     payload = _json_out(capsys)
     assert payload["target"] == target.name
-    estimate = estimate_regularity(target, seed=config.seed, evaluator=ev)
+    estimate = estimate_regularity(ev, seed=config.seed)
     assert payload["estimate"] == asdict(estimate)
     if target.mixture is None:
         return

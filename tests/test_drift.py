@@ -488,7 +488,7 @@ def test_probe_points_shapes():
 
 
 def test_regularity_estimate_is_zero_on_flat_target():
-    est = estimate_regularity(standard_gaussian(1))
+    est = estimate_regularity(DriftEvaluator(standard_gaussian(1), "exact"))
     assert est.c0_hat == 0.0
     assert est.c1_hat == 0.0
     assert est.b_sup_hat == 0.0
@@ -497,21 +497,24 @@ def test_regularity_estimate_is_zero_on_flat_target():
 def test_regularity_estimate_respects_analytic_bounds():
     # b(x, t) = 2 tanh(2x) for the symmetric mixture: sup |b| < 2 and the
     # slope never exceeds 4.
-    est = estimate_regularity(MIX)
+    est = estimate_regularity(DriftEvaluator(MIX, "exact"))
+    # A Monte-Carlo evaluator on a mixture is probed through the closed form.
+    assert estimate_regularity(DriftEvaluator(MIX, "mc-stein", m=4, seed=2)) == est
     assert est.b_sup_hat < 2.0
     assert est.c1_hat <= 4.0 + 1e-9
     assert est.c0_hat <= 4.0
 
 
 def test_regularity_estimate_needs_an_evaluator_for_general_targets():
+    # A bump has no closed form, so it is probed through a Monte-Carlo evaluator.
     with pytest.raises(UnsupportedTargetError):
-        estimate_regularity(quartic_bump(3.0))
+        DriftEvaluator(quartic_bump(3.0), "exact")
     # Probing the full [-5, 5] grid would put every probe outside the bump
     # support and correctly raise a singularity, so stay inside it here.
-    est = estimate_regularity(
-        quartic_bump(3.0),
-        grid=ProbeGrid(lo=-2.0, hi=2.0),
-        evaluator=DriftEvaluator(target=quartic_bump(3.0), mode="mc-grad", m=64, seed=1),
-    )
+    grid = ProbeGrid(lo=-2.0, hi=2.0)
+    ev = DriftEvaluator(target=quartic_bump(3.0), mode="mc-grad", m=64, seed=1)
+    est = estimate_regularity(ev, grid=grid)
+    b = [ev.batch(probe_points(grid, 1), t, k) for k, t in enumerate(grid.t_values)]
+    assert est.b_sup_hat == float(np.sqrt(np.max(np.concatenate(b) ** 2)))
     assert np.isfinite(est.c1_hat)
     assert est.b_sup_hat > 0.0

@@ -104,6 +104,42 @@ def test_failed_cells_are_isolated(tmp_path):
     assert summary["fit"] is None
 
 
+def _eps_plan(values):
+    base = SamplerConfig(steps=3, particles=48, seed=21, drift="mc-grad", mc_size=32)
+    return _tiny_plan(name="eps-sweep", target_options={"kind": "bump", "radius": 3.0},
+                      base=base, axis="eps", values=values)
+
+
+def test_eps_sweep_runs_each_cell_on_its_own_fixed_floor(tmp_path):
+    a, b = os.path.join(tmp_path, "a"), os.path.join(tmp_path, "b")
+    values = (0.25, 0.5, 0.75)
+    run, floors = harness.sfs_run, []
+
+    def spy(config, target, **kwargs):
+        floors.append(config.eps)
+        return run(config, target, **kwargs)
+
+    with mock.patch.object(harness, "sfs_run", side_effect=spy):
+        summary = run_experiment(_eps_plan(values), a)
+    assert summary["failures"] == {}
+    assert floors == [EpsSchedule("fixed", v) for v in values for _ in range(3)]
+    run_experiment(_eps_plan(values), b)
+    with open(os.path.join(a, "cells.csv"), "rb") as fa, \
+            open(os.path.join(b, "cells.csv"), "rb") as fb:
+        text = fa.read()
+        assert text == fb.read()
+    lines = text.decode().splitlines()
+    assert lines[0].split(",")[0] == "eps"
+    assert [float(line.split(",")[0]) for line in lines[1:]] == list(values)
+
+
+def test_an_eps_cell_outside_the_unit_interval_fails_alone(tmp_path):
+    summary = run_experiment(_eps_plan((0.25, 0.5, 1.0)), os.path.join(tmp_path, "sweep"))
+    assert list(summary["failures"]) == ["1.0"]
+    assert summary["failures"]["1.0"].startswith("ValueError: fixed eps")
+    assert [cell["value"] for cell in summary["cells"]] == [0.25, 0.5]
+
+
 def test_mc_size_axis_needs_an_mc_mode(tmp_path):
     plan = _tiny_plan(
         axis="mc_size",

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import sfs_reference, ula_reference
 from sfsampler import (
+    DriftEvaluator,
     EpsSchedule,
     NonFiniteStateError,
     SamplerConfig,
@@ -25,6 +27,7 @@ from sfsampler import (
     gaussian_mixture_target,
     gaussian_potential,
     quartic_bump,
+    regularize,
     rng,
     sample_ground_truth,
     save_batch,
@@ -256,6 +259,36 @@ def test_failed_run_leaves_no_worker_running():
     ]
     assert not leftover
     assert all(end <= raised for end in finished)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("mode", ["exact", "mc-grad", "mc-stein"])
+def test_the_run_is_a_plain_euler_maruyama_loop_bit_for_bit(mode, workers):
+    # m = 128 makes 85-row drift tiles, so 300 particles span four of them.
+    m = None if mode == "exact" else 128
+    cfg = SamplerConfig(steps=4, particles=300, seed=31, drift=mode, mc_size=m,
+                        record_trajectory=True)
+    batch = sfs_run(cfg, MIX2, workers=workers)
+    y, path = sfs_reference(DriftEvaluator(MIX2, mode, m=m, seed=31), 31, 4, 300)
+    assert batch.samples.tobytes() == y.tobytes()
+    assert batch.trajectories.tobytes() == path.tobytes()
+
+
+def test_a_floored_run_is_the_plain_loop_on_the_floored_target():
+    cfg = SamplerConfig(steps=3, particles=40, seed=8, drift="mc-grad", mc_size=64,
+                        eps=EpsSchedule.parse("fixed:0.2"), record_trajectory=True)
+    batch = sfs_run(cfg, quartic_bump(3.0), workers=2)
+    ev = DriftEvaluator(regularize(quartic_bump(3.0), 0.2), "mc-grad", m=64, seed=8)
+    y, path = sfs_reference(ev, 8, 3, 40)
+    assert batch.samples.tobytes() == y.tobytes()
+    assert batch.trajectories.tobytes() == path.tobytes()
+
+
+@pytest.mark.parametrize("target", [MIX2, gaussian_potential([0.5, -1.0, 2.0])],
+                         ids=["mixture", "potential-3d"])
+def test_ula_is_a_plain_euler_maruyama_loop_bit_for_bit(target):
+    batch = ula_run(SamplerConfig(steps=25, particles=97, seed=13), target, 0.05, 15)
+    assert batch.samples.tobytes() == ula_reference(target, 13, 0.05, 40, 97).tobytes()
 
 
 def test_ula_matches_gaussian_moments():

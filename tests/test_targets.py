@@ -159,6 +159,17 @@ def test_mixture_weights_validation():
         gaussian_mixture_target([1.5, -0.5], [[1.0], [-1.0]])
 
 
+def test_mixture_means_whose_half_square_overflows_are_rejected():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way to the error
+        for means in ([[1e200]], [[1e200], [-1e200]], [[1e154, 1e154]]):
+            with pytest.raises(ValueError, match=r"finite \|m\|\^2 / 2"):
+                gaussian_mixture_target(np.full(len(means), 1.0 / len(means)), means)
+        with pytest.raises(ValueError, match=r"finite \|m\|\^2 / 2"):
+            gaussian([1e200])
+        assert gaussian([1e154]).mixture.dim == 1  # |m|^2 / 2 = 5e307 is finite
+
+
 def test_regularized_value_frozen():
     # f_eps(0) = 0.9 exp(-2) + 0.1 for the symmetric mixture.
     reg = regularize(MIX, 0.1)
@@ -199,6 +210,18 @@ def test_regularity_propagates_through_regularize():
     reg = regularize(t, 0.5)
     assert reg.regularity is not None
     assert reg.regularity.xi >= t.regularity.xi
+
+
+def test_regularized_bump_ground_truth_mixes_in_the_gaussian_floor():
+    # (1 - eps) bump(a) + eps N(0, 1): the bump has variance a^2 / 7 and
+    # fourth moment a^4 / 21, the floor 1 and 3.
+    eps, a, n = 0.3, 3.0, 200_000
+    x = sample_ground_truth(regularize(quartic_bump(a), eps), n, 23).samples
+    assert x.shape == (n, 1)
+    assert (np.abs(x) > a).sum() > 50  # the floor puts about 160 points there
+    var = (1.0 - eps) * a * a / 7.0 + eps
+    fourth = (1.0 - eps) * a**4 / 21.0 + 3.0 * eps
+    assert abs(x.var() - var) < 4.0 * math.sqrt((fourth - var * var) / n)
 
 
 def test_sample_ground_truth_is_deterministic():
