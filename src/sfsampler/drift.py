@@ -16,14 +16,14 @@ u_j Z_j) and the weights u_j are summed along the m probes in one call, so
 numerator and denominator share one summation order, constant ratios come
 out exact, and no particle's sum depends on the tile it is evaluated in.
 
-The estimators run tile by tile, a few dozen particles at a time. Each
-pool task (each call, with one worker) owns one ``_Workspace`` that all its
-tiles reuse: every pass writes with ``out=`` into it, so a tile allocates
-nothing of its probes' size. In mc-grad on a mixture whose callables are its
-own, the probes are built channel-major, one contiguous row of particles
-times m values per coordinate, and the mixture's one softmax pass reads
-them as its transposed (particles * m, p) view without strided reads and
-writes log f and grad log f straight into the (p + 1, particles, m)
+The estimators run tile by tile, a few dozen particles at a time, in one
+loop for any worker count; a point call is its row 0. A span of tiles owns
+one ``_Workspace`` while it runs, and the probe draw and every pass write
+into it with ``out=``, so a tile allocates nothing of its probes' size. In
+mc-grad on a mixture whose callables are its own, the probes are built
+channel-major, as (p, particles * m), and the mixture's one softmax pass
+reads them as its transposed (particles * m, p) view without strided reads
+and writes log f and grad log f straight into the (p + 1, particles, m)
 channel buffer. Target callables still get C-order (particles * m, p)
 probes. Either way every value comes from the same operations in the same
 order, so the two layouts give the same bits.
@@ -35,6 +35,7 @@ softmax-weighted average of the component means and needs no sampling.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -112,54 +113,47 @@ class DriftEvaluator:
         The points must be finite with shape (n, p), as ``_coerce`` checks
         them. The exact mode is the closed form and ignores the rest. Row i
         of a Monte-Carlo estimate uses the probes of particle i at step
-        ``step_index``, the same bytes a direct call with that particle
-        index gives. Rows run in cache-sized tiles whose probes the calling
-        thread draws in order, into one reused buffer when there is one
-        worker. With ``workers`` above 1, pool tasks take spans of whole
-        tiles, at most 2 * workers in flight; results are taken in order, so
-        the first failing particle is the one raised, and the threads are
-        joined before the call returns or raises.
+        ``step_index``. Rows run in cache-sized tiles, a span of them at a
+        time: one tile on the calling thread with one worker, whole tiles in
+        pool tasks with more, at most 2 * workers in flight. The calling
+        thread draws the probes in order, into a workspace no running task
+        holds; results are taken in order, so the first failing particle is
+        the one raised, and threads are joined before the call returns or raises.
         """
         points, _ = _coerce(points, self.target.dim)
         if self.mode == "exact":
             return self.target.mixture.grad_log_ratio(points, _check_t(t))
-        return self._mc_rows(points, t, step_index, 0)
-
-    def _mc_rows(self, points, t, step_index, first_row):
-        """The Monte-Carlo drift at ``points``, row i being particle ``first_row + i``."""
         t = _check_t(t, allow_one=self.mode != "mc-stein")
         step_index = check_int("step_index", step_index, minimum=0)
-        first_row = check_int("particle_index", first_row, minimum=0)
         n, p = points.shape
         gen = _rng.substream(self.seed, _rng.ROLE_DRIFT, step_index)
-        gen.standard_normal(first_row * self.m * p)  # the earlier particles' probes, dropped
         out = np.empty((n, p))
         workers = self.workers if n > 1 else 1  # a pool for one row costs more than the row
         tile = max(1, _CHUNK_VALUES // (self.m * (p + 1)))
         span = tile if workers == 1 else min(-(-n // workers), _TASK_TILES * tile)
-        rows = min(tile, n)
+        spaces = [_Workspace(self.target, self.mode, min(tile, n), self.m, p, min(span, n))
+                  for _ in range(1 if workers == 1 else min(-(-n // span), 2 * workers))]
 
-        def run(start, z, ws):
-            for lo in range(start, start + len(z), tile):
-                hi = min(lo + tile, start + len(z))
+        def run(start, ws):
+            stop = min(start + span, n)
+            for lo in range(start, stop, tile):
+                hi = min(lo + tile, stop)
                 out[lo:hi] = _mc_drift_core(
-                    self.target, points[lo:hi], t, z[lo - start:hi - start], self.mode,
-                    step_index=step_index, particle_offset=first_row + lo, ws=ws,
+                    self.target, points[lo:hi], t, ws.z[lo - start:hi - start], self.mode,
+                    step_index=step_index, particle_offset=lo, ws=ws,
                 )
 
-        if workers == 1:
-            ws, z = _Workspace(self.target, self.mode, rows, self.m, p), np.empty((rows, self.m, p))
-            for start in range(0, n, tile):
-                run(start, gen.standard_normal(out=z[:min(tile, n - start)]), ws)
-            return out
-        with ThreadPoolExecutor(workers) as pool:
+        with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
             pending = []
-            for start in range(0, n, span):
-                z = gen.standard_normal((min(span, n - start), self.m, p))
-                if len(pending) == 2 * workers:
-                    pending.pop(0).result()
-                ws = _Workspace(self.target, self.mode, rows, self.m, p)
-                pending.append(pool.submit(run, start, z, ws))
+            for i, start in enumerate(range(0, n, span)):
+                if len(pending) == len(spaces):
+                    pending.pop(0).result()  # its task is done with the workspace
+                ws = spaces[i % len(spaces)]
+                gen.standard_normal(out=ws.z[:min(span, n - start)])
+                if pool is None:
+                    run(start, ws)
+                else:
+                    pending.append(pool.submit(run, start, ws))
             for fut in pending:
                 fut.result()
         return out
@@ -190,18 +184,20 @@ def drift_exact(target, x, t):
 class _Workspace:
     """The buffers of ``_mc_drift_core`` for tiles of up to ``rows`` particles.
 
-    One thread reuses them tile after tile, so the kernel allocates only
-    arrays of one value or a few a particle. The probes are laid out channel-major, as
+    One thread at a time reuses them tile after tile, so the kernel allocates
+    only arrays of one value or a few a particle; ``z`` holds the draws of up
+    to ``span`` particles. The probes are laid out channel-major, as
     (p, rows * m), when the mixture's one softmax pass takes them, and
     C-order, as (rows * m, p), when a target callable sees them. ``ext``
     holds the (p + 1, particles, m) channels u * vec_j and u; the one pass
     writes grad log f and log f straight into them.
     """
 
-    def __init__(self, target, mode, rows, m, p):
+    def __init__(self, target, mode, rows, m, p, span=0):
         mix = target.mixture
         self.fused = (mode == "mc-grad" and mix is not None and mix.log_ratio == target.log_f
                       and mix.grad_log_ratio == target.grad_log_f)
+        self.z = np.empty((span, m, p))
         self.probes = np.empty(rows * m * p)
         self.ext = np.empty((p + 1, rows, m))
         self.acc = np.empty((p + 1, rows))
@@ -295,35 +291,30 @@ def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset, w
     return b
 
 
-def _drift_mc(ev, x, t, step_index, particle_index, mode):
+def _drift_mc(ev, x, t, step_index, mode):
     if ev.mode != mode:
         raise ValueError(f"a {mode} drift call needs a {mode} evaluator, got {ev.mode!r}")
     pts, single = _coerce(x, ev.target.dim)
     if not single:
         raise ValueError("direct drift calls evaluate one point at a time")
-    return ev._mc_rows(pts, t, step_index, particle_index)[0]
+    return ev.batch(pts, t, step_index)[0]
 
 
-def drift_mc_grad(ev, x, t, step_index=0, particle_index=0):
-    """Gradient-form drift estimate at one point.
+def drift_mc_grad(ev, x, t, step_index=0):
+    """Gradient-form drift estimate at one point, for t in [0, 1].
 
-    The Z batch is row ``particle_index`` of the (seed, drift, step_index)
-    block, so a direct call reproduces exactly what a sampler run with the
-    same seed uses for that particle at that step. Valid for t in [0, 1].
-    A call first draws and drops every earlier particle's probes, so its cost
-    grows with ``particle_index``; loop over particles with ``DriftEvaluator.batch``.
+    The point is particle 0: row 0 of ``DriftEvaluator.batch``. For
+    particle i, read row i of ``batch`` on at least i + 1 points.
     """
-    return _drift_mc(ev, x, t, step_index, particle_index, "mc-grad")
+    return _drift_mc(ev, x, t, step_index, "mc-grad")
 
 
-def drift_mc_stein(ev, x, t, step_index=0, particle_index=0):
+def drift_mc_stein(ev, x, t, step_index=0):
     """Stein-form drift estimate at one point, for t in [0, 1).
 
-    Uses the same stream derivation and the same shared batch layout as
-    the gradient form; only the integrand differs. Its cost grows with
-    ``particle_index`` as ``drift_mc_grad``'s does; loop with ``DriftEvaluator.batch``.
+    The point is particle 0, as in ``drift_mc_grad``; only the integrand differs.
     """
-    return _drift_mc(ev, x, t, step_index, particle_index, "mc-stein")
+    return _drift_mc(ev, x, t, step_index, "mc-stein")
 
 
 @dataclass(frozen=True)

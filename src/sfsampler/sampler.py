@@ -131,6 +131,7 @@ def _run_evaluator(config, target, workers=1):
     return (dataclasses.replace(ev, target=regularize(target, eps)) if eps > 0.0 else ev), eps
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the error is the report; pool threads keep theirs
 def _euler_maruyama(x, drift, h, scale, seed, role, steps, message, path=None):
     """Take ``steps`` in-place steps x += h * drift(x, k) + scale * xi_k; return x.
 

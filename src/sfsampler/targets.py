@@ -56,6 +56,15 @@ def _coerce(x, dim):
     raise ValueError(f"input must be at most 2-dimensional, got shape {x.shape}")
 
 
+def _half_square(means, what):
+    """|m|^2 / 2 of each row of ``means``; ValueError where it overflows."""
+    with np.errstate(over="ignore"):
+        half_sq = 0.5 * np.sum(means * means, axis=-1)
+    if not np.isfinite(half_sq).all():
+        raise ValueError(f"{what} must have a finite |m|^2 / 2")
+    return half_sq
+
+
 def _returned(target, name, out, shape):
     """A target callable's output as an array; UnsupportedTargetError unless it has ``shape``."""
     if np.shape(out) != shape:
@@ -124,10 +133,7 @@ class GaussianMixture:
         self.weights = weights
         self.means = means
         self._log_w = np.log(weights)
-        with np.errstate(over="ignore"):
-            self._half_sq = 0.5 * np.sum(means * means, axis=1)
-        if not np.isfinite(self._half_sq).all():
-            raise ValueError("mixture means must have a finite |m|^2 / 2")
+        self._half_sq = _half_square(means, "mixture means")
 
     @property
     def dim(self):
@@ -527,6 +533,7 @@ def gaussian_potential(mean, log_scale=0.0):
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     if not np.isfinite(mean).all():
         raise ValueError("mean must be finite")
+    _half_square(mean, "the potential mean")
     m = mean.copy()
 
     def potential(pts):

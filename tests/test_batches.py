@@ -148,3 +148,10 @@ def test_load_batch_keeps_the_width_of_an_empty_batch(dim):
             back = load_batch(save_batch(batch, out)["csv"])
     assert back.samples.shape == (0, dim)
     assert (back.config_digest, back.seed) == (batch.config_digest, 5)
+
+
+def test_load_batch_refuses_a_csv_without_the_digest_header(tmp_path):
+    path = tmp_path / "plain.csv"
+    path.write_text("x0\n1.0\n")
+    with pytest.raises(ValueError, match="does not look like a sample CSV"):
+        load_batch(str(path))

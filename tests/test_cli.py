@@ -415,18 +415,22 @@ def test_a_diverging_langevin_chain_in_compare_is_exit_5_with_context(tmp_path, 
     assert not os.path.exists(os.path.join(out, "comparison.json"))
 
 
-@pytest.mark.parametrize("command", ["sample", "drift-check"])
-@pytest.mark.parametrize("target", ["kind = gaussian\nmean = 1e200",
-                                    "kind = mixture\nweights = 0.5 0.5\nmeans = 1e200; -1e200"],
-                         ids=["gaussian", "mixture"])
+@pytest.mark.parametrize("command", ["sample", "drift-check", "regularity"])
+@pytest.mark.parametrize("target, run, means", [
+    ("kind = gaussian\nmean = 1e200", "", "mixture means"),
+    ("kind = mixture\nweights = 0.5 0.5\nmeans = 1e200; -1e200", "", "mixture means"),
+    ("kind = gaussian-potential\nmean = 1e200", "drift = mc-stein\nmc_size = 8\n",
+     "the potential mean"),
+], ids=["gaussian", "mixture", "potential"])
 def test_mixture_means_that_overflow_are_exit_4_before_any_file(tmp_path, capsys, command,
-                                                                target):
-    cfg = _write(tmp_path, f"[target]\n{target}\n\n[run]\nseed = 1\nsteps = 4\nparticles = 8\n")
+                                                                target, run, means):
+    cfg = _write(tmp_path,
+                 f"[target]\n{target}\n\n[run]\nseed = 1\nsteps = 4\nparticles = 8\n{run}")
     out = os.path.join(tmp_path, "o")
     assert main([command, "--config", cfg, "--out", out]) == 4
     payload = _json_out(capsys)
     assert payload["error"] == "ValueError"
-    assert payload["message"] == "mixture means must have a finite |m|^2 / 2"
+    assert payload["message"] == f"{means} must have a finite |m|^2 / 2"
     assert not os.path.exists(out)
 
 

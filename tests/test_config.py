@@ -311,6 +311,8 @@ def test_missing_pieces_raise_config_error(tmp_path):
     with pytest.raises(ConfigError):
         plan_from_config(no_seed, SamplerConfig(steps=1, particles=1, seed=0))
     assert sampler_from_config(no_seed, {"seed": 5}).seed == 5
+    with pytest.raises(ConfigError, match="unknown run setting 'colour'"):
+        sampler_from_config(no_seed, {"seed": 5, "colour": "red"})
     missing_file = os.path.join(tmp_path, "nope.ini")
     with pytest.raises(ConfigError):
         read_ini(missing_file)

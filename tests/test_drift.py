@@ -3,6 +3,7 @@ scale invariance, singularity reporting, and regularity probes."""
 
 import dataclasses
 import math
+import sys
 import threading
 import tracemalloc
 from unittest import mock
@@ -99,11 +100,11 @@ def test_gradient_form_is_exactly_constant_for_gaussian():
 @pytest.mark.parametrize("m", [127, 128, 129, 1000, 4099])
 def test_gradient_form_is_exact_past_one_pairwise_block(mean, m):
     # numpy sums runs of more than 128 values pairwise; numerator and
-    # denominator must still share one tree, in a point call and in tiles.
+    # denominator must still share one tree, in one tile and across tiles.
     g = gaussian(mean)
     p = len(mean)
     ev = DriftEvaluator(target=g, mode="mc-grad", m=m, seed=9)
-    assert np.array_equal(drift_mc_grad(ev, np.full(p, 0.3), 0.4, 1, 2), np.array(mean))
+    assert np.array_equal(ev.batch(np.full((3, p), 0.3), 0.4, 1)[2], np.array(mean))
     pts = np.linspace(-2.0, 2.0, 7 * p).reshape(7, p)
     for workers in (1, 2):
         ev = DriftEvaluator(target=g, mode="mc-grad", m=m, seed=9, workers=workers)
@@ -123,7 +124,7 @@ def test_stein_form_with_one_probe_is_the_raw_draw():
     # With m = 1 the weights cancel and the estimate is Z / sqrt(1 - t).
     t = 0.36
     ev = DriftEvaluator(target=MIX, mode="mc-stein", m=1, seed=77)
-    b = drift_mc_stein(ev, np.array([0.5]), t, step_index=2, particle_index=4)
+    b = ev.batch(np.full((5, 1), 0.5), t, 2)[4]  # particle 4
     z = _rng.normal_row(77, _rng.ROLE_DRIFT, 2, 4, (1, 1))
     assert b[0] == pytest.approx(float(z[0, 0]) / math.sqrt(1.0 - t), rel=1e-15)
 
@@ -207,6 +208,13 @@ def test_point_call_rejects_an_evaluator_of_another_mode():
         drift_mc_grad(DriftEvaluator(target=MIX, mode="exact"), np.array([0.0]), 0.5)
 
 
+def _own_row_drift(ev, x, t, k, i):
+    """Particle i's drift at x from the core on its own probe row, drawn by rng.normal_row."""
+    z = _rng.normal_row(ev.seed, _rng.ROLE_DRIFT, k, i, (ev.m, len(x)))
+    return _drift._mc_drift_core(ev.target, x[None, :], t, z[None], ev.mode, step_index=k,
+                                 particle_offset=i)[0]
+
+
 @st.composite
 def drift_cases(draw):
     kind = draw(st.sampled_from(["mixture", "bump", "potential"]))
@@ -248,12 +256,11 @@ def drift_cases(draw):
 def test_batch_rows_equal_point_calls_bit_for_bit(case):
     ev = DriftEvaluator(target=case["target"], mode=case["mode"], m=case["m"], seed=case["seed"],
                         workers=case["workers"])
-    point = drift_mc_grad if ev.mode == "mc-grad" else drift_mc_stein
     pts, t, k = case["pts"], case["t"], case["k"]
     rows, dead = [], None
     for i, x in enumerate(pts):
         try:
-            rows.append(point(ev, x, t, k, i))
+            rows.append(_own_row_drift(ev, x, t, k, i))
         except DriftSingularityError:
             dead = i if dead is None else dead
     with mock.patch.object(_drift, "_CHUNK_VALUES", case["chunk_values"]), \
@@ -271,21 +278,23 @@ def test_batch_rows_equal_point_calls_bit_for_bit(case):
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("mode", ["mc-grad", "mc-stein"])
 def test_point_calls_equal_the_core_on_their_own_probe_row(mode, workers):
-    # The probe row comes from rng.normal_row, independently of batch's tile loop.
+    # A point call is particle 0; particle i is row i of a batch of i + 1 rows.
+    # The reference row comes from rng.normal_row, independently of batch's tile loop.
     target = gaussian_mixture_target([0.3, 0.7], [[1.0, -2.0], [-1.5, 0.5]])
     m, p, k, t = 12, 2, 3, 0.3
     ev = DriftEvaluator(target, mode, m=m, seed=21, workers=workers)
     point = drift_mc_grad if mode == "mc-grad" else drift_mc_stein
     x = np.array([0.4, -1.1])
     with mock.patch.object(_drift, "_CHUNK_VALUES", 2 * m * (p + 1)):  # two particles a tile
+        assert np.array_equal(point(ev, x, t, k), _own_row_drift(ev, x, t, k, 0))
         for i in (0, 1, 2, 5, 17):
-            z = _rng.normal_row(21, _rng.ROLE_DRIFT, k, i, (m, p))
-            want = _drift._mc_drift_core(target, x[None, :], t, z[None], mode, step_index=k,
-                                         particle_offset=i)
-            assert np.array_equal(point(ev, x, t, k, i), want[0]), i
-        dead = DriftEvaluator(quartic_bump(0.05), mode, m=m, seed=21, workers=workers)
+            got = ev.batch(np.tile(x, (i + 1, 1)), t, k)[i]
+            assert np.array_equal(got, _own_row_drift(ev, x, t, k, i)), i
+        pts = np.zeros((18, 1))
+        pts[17] = 10.0  # every probe of particle 17 lands outside the bump's support
+        dead = DriftEvaluator(quartic_bump(3.0), mode, m=m, seed=21, workers=workers)
         with pytest.raises(DriftSingularityError) as err:
-            point(dead, np.array([3.0]), t, k, 17)
+            dead.batch(pts, t, k)
     assert (err.value.particle_index, err.value.step_index) == (17, k)
 
 
@@ -297,7 +306,7 @@ def test_a_point_call_runs_on_the_calling_thread():
         return MIX.log_f(x)
 
     ev = DriftEvaluator(dataclasses.replace(MIX, log_f=log_f), "mc-stein", m=8, workers=3)
-    drift_mc_stein(ev, np.array([0.3]), 0.5, 0, 4)
+    drift_mc_stein(ev, np.array([0.3]), 0.5, 0)
     assert callers == {threading.get_ident()}
 
 
@@ -351,7 +360,9 @@ def test_wrong_shaped_target_output_is_unsupported(which, bad):
     (np.zeros(5), "expected a point of dimension 2"),
     (np.array([[0.0, 1.0], [np.nan, 0.0]]), "must be finite"),
     (np.array([[0.0, np.inf]]), "must be finite"),
-], ids=["too-wide", "too-narrow", "flat", "nan", "inf"])
+    (0.5, "scalar input for a 2-dimensional target"),
+    (np.zeros((1, 1, 2)), "at most 2-dimensional"),
+], ids=["too-wide", "too-narrow", "flat", "nan", "inf", "scalar", "3-d"])
 def test_batch_checks_its_points_in_every_mode(mode, points, message):
     target = gaussian_mixture_target([0.3, 0.7], [[1.0, -2.0], [-1.5, 0.5]])
     ev = DriftEvaluator(target, mode, m=8, seed=1)
@@ -454,7 +465,7 @@ def test_all_probes_outside_support_is_a_reported_singularity():
     tiny = quartic_bump(0.05)
     ev = DriftEvaluator(target=tiny, mode="mc-grad", m=16, seed=5)
     with pytest.raises(DriftSingularityError) as err:
-        drift_mc_grad(ev, np.array([3.0]), 0.0, step_index=0, particle_index=0)
+        drift_mc_grad(ev, np.array([3.0]), 0.0, step_index=0)
     assert err.value.step_index == 0
     assert err.value.particle_index == 0
     assert err.value.t == 0.0
@@ -476,6 +487,28 @@ def test_no_thread_outlives_a_failed_threaded_batch():
     # The rows ran on pool threads, and every one of them was joined.
     assert callers and threading.get_ident() not in callers
     assert set(threading.enumerate()) == before
+
+
+def test_a_threaded_batch_builds_at_most_two_workspaces_a_worker():
+    # One particle a span gives 40 spans; at three workers six workspaces take
+    # them in turn, each drawn into again once its last task has been taken.
+    target = gaussian_mixture_target([0.3, 0.7], [[1.0, -2.0], [-1.5, 0.5]])
+    m, p = 8, 2
+    pts = 2.0 * np.random.default_rng(6).standard_normal((40, p))
+    outs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a workspace drawn into too early shows
+    try:
+        for workers, most in ((1, 1), (3, 6)):
+            ev = DriftEvaluator(target, "mc-grad", m=m, seed=3, workers=workers)
+            with mock.patch.object(_drift, "_CHUNK_VALUES", m * (p + 1)), \
+                    mock.patch.object(_drift, "_TASK_TILES", 1), \
+                    mock.patch.object(_drift, "_Workspace", wraps=_drift._Workspace) as built:
+                outs.append(ev.batch(pts, 0.4, 1))
+            assert built.call_count == most, workers
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(outs[0], outs[1])
 
 
 def test_probe_points_shapes():

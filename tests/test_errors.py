@@ -1,5 +1,6 @@
 """Input checks: one rule for counts and one for reals, wherever they are taken."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,8 +15,10 @@ from sfsampler import (
     TargetSpec,
     compare_samplers,
     drift_mc_grad,
+    fit_rate,
     from_potential,
     gaussian_mixture_target,
+    gaussian_potential,
     quartic_bump,
     regularize,
     sample_ground_truth,
@@ -60,6 +63,18 @@ BAD = {
     ),
     "normal_row row_index": (lambda v: rng.normal_row(0, rng.ROLE_DRIFT, 0, v), 1.5),
     "substream step": (lambda v: rng.substream(0, rng.ROLE_DRIFT, v), 2.0),
+    # Each row below is a check that no other test reaches.
+    "DriftEvaluator.batch t": (lambda v: DriftEvaluator(MIX, "mc-grad", m=4).batch(PTS, v, 0), 1.5),
+    "ProbeGrid hi": (lambda v: ProbeGrid(lo=1.0, hi=v), 1.0),
+    "substream step past 64 bits": (lambda v: rng.substream(0, rng.ROLE_DRIFT, v), 2**64),
+    "EpsSchedule rule": (EpsSchedule, "bogus"),
+    "fit_rate lengths": (lambda v: fit_rate([1.0, 2.0, 3.0], v), [1.0, 2.0]),
+    "mixture k": (lambda v: gaussian_mixture_target([0.5, 0.5], v), [[1.0]]),
+    "mixture components": (lambda v: gaussian_mixture_target(v, np.zeros((0, 1))), []),
+    "mixture mean": (lambda v: gaussian_mixture_target([0.5, 0.5], v), [[np.nan], [1.0]]),
+    "gaussian_potential mean": (gaussian_potential, [np.nan]),
+    "regularize scaled mixture": (
+        lambda v: regularize(dataclasses.replace(MIX, log_scale=v), 0.1), 1.0),
 }
 
 

@@ -4,6 +4,7 @@ budget-matched comparison."""
 import dataclasses
 import json
 import os
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy.spatial.distance import cdist
 from sfsampler import (
     EpsSchedule,
     ExperimentPlan,
+    NonFiniteStateError,
     SamplerConfig,
     UnsupportedTargetError,
     compare_samplers,
@@ -286,6 +288,16 @@ def test_compare_samplers_needs_a_gradient_before_any_run(tmp_path):
             compare_samplers(no_grad, cfg, ula_step_size=0.05, ula_burn_in=20, out_dir=out)
     assert not run.called
     assert not os.path.exists(out)
+
+
+def test_a_diverging_langevin_chain_raises_without_a_numpy_warning():
+    # h = 5 drives the chains past the float range; the error is the one report.
+    cfg = SamplerConfig(steps=10, particles=128, seed=7, drift="mc-grad", mc_size=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError) as err:
+            compare_samplers(MIX, cfg, ula_step_size=5.0, ula_burn_in=20)
+    assert (err.value.particle_index, err.value.step_index) == (1, 511)
 
 
 def test_compare_samplers_report(tmp_path):

@@ -159,6 +159,16 @@ def test_mixture_weights_validation():
         gaussian_mixture_target([1.5, -0.5], [[1.0], [-1.0]])
 
 
+def test_flat_mixture_means_are_one_mean_a_component_bit_for_bit():
+    flat = gaussian_mixture_target([0.5, 0.5], [2.0, -2.0])
+    column = gaussian_mixture_target([0.5, 0.5], [[2.0], [-2.0]])
+    x = np.linspace(-4.0, 4.0, 33).reshape(-1, 1)
+    assert flat.params == column.params
+    assert np.array_equal(flat.mixture.means, column.mixture.means)
+    assert np.array_equal(flat.log_f(x), column.log_f(x))
+    assert np.array_equal(drift_exact(flat, x, 0.3), drift_exact(column, x, 0.3))
+
+
 def test_mixture_means_whose_half_square_overflows_are_rejected():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow warning on the way to the error
@@ -167,6 +177,8 @@ def test_mixture_means_whose_half_square_overflows_are_rejected():
                 gaussian_mixture_target(np.full(len(means), 1.0 / len(means)), means)
         with pytest.raises(ValueError, match=r"finite \|m\|\^2 / 2"):
             gaussian([1e200])
+        with pytest.raises(ValueError, match=r"finite \|m\|\^2 / 2"):
+            gaussian_potential([1e200])
         assert gaussian([1e154]).mixture.dim == 1  # |m|^2 / 2 = 5e307 is finite
 
 
