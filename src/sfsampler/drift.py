@@ -111,7 +111,8 @@ class DriftEvaluator:
         """Drift at every row of ``points`` (n, p) at time t, as an (n, p) array.
 
         The points must be finite with shape (n, p), as ``_coerce`` checks
-        them. The exact mode is the closed form and ignores the rest. Row i
+        them, and ``step_index`` a count from 0 in every mode. The exact mode
+        is the closed form and otherwise ignores the step. Row i
         of a Monte-Carlo estimate uses the probes of particle i at step
         ``step_index``. Rows run in cache-sized tiles, a span of them at a
         time: one tile on the calling thread with one worker, whole tiles in
@@ -121,10 +122,10 @@ class DriftEvaluator:
         the one raised, and threads are joined before the call returns or raises.
         """
         points, _ = _coerce(points, self.target.dim)
+        step_index = check_int("step_index", step_index, minimum=0)
         if self.mode == "exact":
             return self.target.mixture.grad_log_ratio(points, _check_t(t))
         t = _check_t(t, allow_one=self.mode != "mc-stein")
-        step_index = check_int("step_index", step_index, minimum=0)
         n, p = points.shape
         gen = _rng.substream(self.seed, _rng.ROLE_DRIFT, step_index)
         out = np.empty((n, p))
@@ -338,6 +339,8 @@ class ProbeGrid:
             raise ValueError("need lo < hi")
         for name, minimum in (("points_per_axis", 2), ("directions", 1), ("radial_points", 2)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
+        if len(self.t_values) == 0:
+            raise ValueError("t_values must hold at least one time")
         for t in self.t_values:
             _check_t(t, allow_one=False)
 

@@ -65,6 +65,15 @@ def _half_square(means, what):
     return half_sq
 
 
+def _affine(xb, vec, const, out, tmp):
+    """vec . x + const into ``out`` for the points of ``xb`` (p, b), one coordinate at a time."""
+    np.multiply(xb[0], vec[0], out=out)
+    for j in range(1, len(vec)):
+        np.multiply(xb[j], vec[j], out=tmp)
+        out += tmp
+    out += const
+
+
 def _returned(target, name, out, shape):
     """A target callable's output as an array; UnsupportedTargetError unless it has ``shape``."""
     if np.shape(out) != shape:
@@ -112,6 +121,8 @@ class GaussianMixture:
     k is small and a drift batch holds up to millions of points, so
     reducing along k of an (n, k) array is a short strided loop per point,
     while across the k rows of a (k, n) array it is whole-row vector work.
+    At k = 2 the softmax is a logistic of one score, one exp a point with
+    no max pass; it rounds unlike the k-way pass, which every other k keeps.
     """
 
     def __init__(self, weights, means):
@@ -161,7 +172,11 @@ class GaussianMixture:
         elementwise passes in a fixed order, not matmul or a reduction, which
         round a point differently depending on how many points come with it:
         the drift of one point must not depend on the points evaluated beside
-        it. The gradient is the softmax-weighted mean of the means.
+        it. The gradient is the softmax-weighted mean of the means. At k = 2
+        a block is ``_logistic_block``, other arithmetic and so other bits:
+        d = l_0 - l_1 as (m_0 - m_1) . x + (c_0 - c_1), E = exp(d), gradient
+        m_0 + (m_1 - m_0) w_1 with w_1 = 1 / (1 + E) (0 or 1 exactly where E
+        overflows or underflows), value l_1 + max(d, 0) + log1p(min(E, 1/E)).
         """
         c = self._log_w - t * self._half_sq
         xt = x.T
@@ -171,15 +186,14 @@ class GaussianMixture:
         for lo in range(0, n, _SOFTMAX_BLOCK):
             rows = slice(lo, min(n, lo + _SOFTMAX_BLOCK))
             size = rows.stop - lo
+            if k == 2:
+                self._logistic_block(xt[:, rows], c, value, grad, rows, work[: 3 * size])
+                continue
             u = work[: k * size].reshape(k, size)
             mx, total = work[k * size: (k + 2) * size].reshape(2, size)
             tmp = total  # products go here before the sum is taken and after it is divided out
             for row, mean, ci in zip(u, self.means, c):
-                np.multiply(xt[0, rows], mean[0], out=row)
-                for j in range(1, self.dim):
-                    np.multiply(xt[j, rows], mean[j], out=tmp)
-                    row += tmp
-                row += ci
+                _affine(xt[:, rows], mean, ci, row, tmp)
             np.maximum.reduce(u, axis=0, out=mx)
             u -= mx
             np.exp(u, out=u)
@@ -196,6 +210,24 @@ class GaussianMixture:
                     for i in range(1, k):
                         np.multiply(u[i], self.means[i, j], out=tmp)
                         col += tmp
+
+    def _logistic_block(self, xb, c, value, grad, rows, work):
+        """One block of ``_softmax_pass`` at k = 2; d and E are formed alike for either output."""
+        d, e, tmp = work.reshape(3, -1)
+        m0, m1 = self.means
+        with np.errstate(over="ignore", divide="ignore"):
+            _affine(xb, m0 - m1, c[0] - c[1], d, tmp)
+            np.exp(d, out=e)
+            if value is not None:
+                out = value[rows]
+                _affine(xb, m1, c[1], out, tmp)
+                out += np.maximum(d, 0.0, out=d)
+                out += np.log1p(np.minimum(e, np.divide(1.0, e, out=tmp), out=tmp), out=tmp)
+            if grad is not None:
+                w = np.divide(1.0, np.add(e, 1.0, out=e), out=e)
+                for j, col in enumerate(grad[:, rows]):
+                    np.multiply(w, m1[j] - m0[j], out=col)
+                    col += m0[j]
 
     def log_ratio(self, x):
         out = np.empty(x.shape[0])

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -392,6 +393,17 @@ def mixture_drift_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(mixture_drift_cases())
+# Pinned so both softmax branches run every time: k = 2 takes the logistic
+# form and k = 3 the general pass.
+@example(dict(
+    target=gaussian_mixture_target([0.4, 0.6], [[2.5, -1.0], [-3.0, 0.5]]),
+    pts=np.column_stack([np.linspace(-4.0, 4.0, 13), np.linspace(3.0, -3.0, 13)]), t=0.3,
+    m=37, seed=4, workers=3, chunk_values=100,
+))
+@example(dict(
+    target=gaussian_mixture_target([0.2, 0.3, 0.5], [[1.0], [-2.0], [3.0]]),
+    pts=np.linspace(-4.0, 4.0, 21)[:, None], t=0.0, m=200, seed=9, workers=1, chunk_values=2000,
+))
 def test_one_pass_mixture_drift_equals_the_two_call_drift_bit_for_bit(case):
     # Plain lambdas are not the mixture's own methods, so they take the
     # two-call path with user-target checks: C-order probes where the one
@@ -409,6 +421,29 @@ def test_one_pass_mixture_drift_equals_the_two_call_drift_bit_for_bit(case):
 
     with mock.patch.object(_drift, "_CHUNK_VALUES", case["chunk_values"]):
         assert np.array_equal(drift(target), drift(wrapped))
+
+
+def test_two_component_drift_takes_the_dominant_mean_silently_where_exp_overflows():
+    # Means +-40 at points +-30 put the logit gap at 2 400: exp(d) overflows
+    # at one point and underflows at the other.
+    target = gaussian_mixture_target([0.5, 0.5], [[40.0], [-40.0]])
+    mix = target.mixture
+    x = np.array([[30.0], [-30.0]])
+    dominant = np.array([[40.0], [-40.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, grad = mix.log_ratio_and_grad(x)
+        assert np.array_equal(grad.T, dominant)
+        assert np.array_equal(mix.log_ratio(x), value)
+        np.testing.assert_allclose(value, math.log(0.5) + 30.0 * 40.0 - 800.0, rtol=1e-14)
+        for t in (0.0, 0.5, 1.0):
+            assert np.array_equal(mix.grad_log_ratio(x, t), dominant)
+            assert np.array_equal(drift_exact(target, x, t), dominant)
+            for workers in (1, 3):
+                # One probe a particle: the weighted mean is that probe's gradient itself.
+                ev = DriftEvaluator(target, "mc-grad", m=1, seed=5, workers=workers)
+                got = ev.batch(np.repeat(x, 4, axis=0), t, 0)
+                assert np.array_equal(got, np.repeat(dominant, 4, axis=0))
 
 
 def test_a_drift_batch_allocates_far_less_than_its_probe_block():

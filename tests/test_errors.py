@@ -66,6 +66,9 @@ BAD = {
     # Each row below is a check that no other test reaches.
     "DriftEvaluator.batch t": (lambda v: DriftEvaluator(MIX, "mc-grad", m=4).batch(PTS, v, 0), 1.5),
     "ProbeGrid hi": (lambda v: ProbeGrid(lo=1.0, hi=v), 1.0),
+    "ProbeGrid t_values": (lambda v: ProbeGrid(t_values=v), ()),
+    "DriftEvaluator.batch exact step_index": (
+        lambda v: DriftEvaluator(MIX, "exact").batch(PTS, 0.5, v), -1),
     "substream step past 64 bits": (lambda v: rng.substream(0, rng.ROLE_DRIFT, v), 2**64),
     "EpsSchedule rule": (EpsSchedule, "bogus"),
     "fit_rate lengths": (lambda v: fit_rate([1.0, 2.0, 3.0], v), [1.0, 2.0]),

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, softmax
 
@@ -113,8 +113,18 @@ def mixtures_and_points(draw):
     return gaussian_mixture_target(raw / raw.sum(), means), x, t
 
 
+# Pinned so both softmax branches run every time: k = 2 takes the logistic
+# form, here with logit gaps past exp's range, and k = 3 the general pass.
+SOFTMAX_K2 = (gaussian_mixture_target([0.3, 0.7], [[30.0, -1.0], [-30.0, 2.0]]),
+              np.array([[50.0, 0.0], [-50.0, 3.0], [0.1, -0.2]]), 0.25)
+SOFTMAX_K3 = (gaussian_mixture_target([0.2, 0.3, 0.5], [[1.0], [-2.0], [30.0]]),
+              np.array([[-3.0], [0.5], [40.0]]), 0.5)
+
+
 @settings(max_examples=60, deadline=None)
 @given(mixtures_and_points())
+@example(SOFTMAX_K2)
+@example(SOFTMAX_K3)
 def test_mixture_softmax_matches_point_major_reference(case):
     target, x, t = case
     mix = target.mixture
@@ -342,6 +352,8 @@ def test_bump_sampler_matches_declared_variance():
 
 @settings(max_examples=30, deadline=None)
 @given(mixtures_and_points())
+@example(SOFTMAX_K2)
+@example(SOFTMAX_K3)
 def test_fused_mixture_call_equals_the_two_calls_bit_for_bit(case):
     target, x, _ = case
     value, grad = target.mixture.log_ratio_and_grad(x)
