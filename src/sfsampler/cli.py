@@ -181,7 +181,6 @@ def _cmd_compare(args):
         config,
         ula_step_size=ula["step_size"],
         ula_burn_in=ula["burn_in"],
-        ula_post_steps=ula["post_steps"],
         out_dir=args.out,
         workers=args.workers,
     )

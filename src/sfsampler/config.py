@@ -33,7 +33,7 @@ RUN_KEYS = {
     "eps_rule": "str",
     "record_trajectory": "bool",
 }
-_ULA_KEYS = {"step_size": "float", "burn_in": "int", "post_steps": "int"}
+_ULA_KEYS = {"step_size": "float", "burn_in": "int"}
 _PLAN_KEYS = {
     "name": "str",
     "axis": "str",
@@ -164,7 +164,7 @@ def ula_from_config(sections):
     ula = sections.get("ula", {})
     if "step_size" not in ula or "burn_in" not in ula:
         raise ConfigError("comparison needs [ula] with step_size and burn_in")
-    return {key: ula.get(key) for key in _ULA_KEYS}
+    return {key: ula[key] for key in _ULA_KEYS}
 
 
 def plan_from_config(sections, base):
@@ -217,9 +217,6 @@ def write_resolved_ini(path, target, config, ula=None, plan=None):
         "ula": None if ula is None else {
             "step_size": check_real("step_size", ula["step_size"], low=0.0),
             "burn_in": check_int("burn_in", ula["burn_in"], minimum=0),
-            "post_steps": None if ula.get("post_steps") is None else check_int(
-                "post_steps", ula["post_steps"]
-            ),
         },
         "plan": None if plan is None else {key: getattr(plan, key) for key in _PLAN_KEYS},
     }

@@ -13,8 +13,10 @@ Weights depend only on differences of log f, so a constant scale on f
 drops out exactly, not merely up to rounding; this is why TargetSpec keeps
 its ``log_scale`` out of the ``log_f`` callable. The products u_j g_j (or
 u_j Z_j) and the weights u_j are summed along the m probes in one call, so
-numerator and denominator share one summation order, constant ratios come
-out exact, and no particle's sum depends on the tile it is evaluated in.
+numerator and denominator share one summation order, and no particle's sums
+depend on the tile it is evaluated in. That does not make a constant ratio
+exact: with g_j = c for every probe the sum of u_j c can differ from c times
+the sum of u_j by rounding, so the drift comes back within a few ulps of c.
 
 The estimators run tile by tile, a few dozen particles at a time, in one
 loop for any worker count; a point call is its row 0. A span of tiles owns

@@ -129,8 +129,8 @@ def run_experiment(plan, out_dir):
             floor_b = sample_ground_truth(target, cfg.particles, seeds[-1]).samples
             floor = w2_score(plan.metric, floor_a, floor_b, seeds[-1])
             scores = []
-            for r in range(plan.replications):
-                run_cfg = dataclasses.replace(cfg, seed=seeds[2 * r])
+            for r in range(plan.replications):  # scored on terminal states, no path kept
+                run_cfg = dataclasses.replace(cfg, seed=seeds[2 * r], record_trajectory=False)
                 batch = sfs_run(run_cfg, target, workers=plan.workers)
                 truth = sample_ground_truth(target, cfg.particles, seeds[2 * r + 1])
                 scores.append(w2_score(plan.metric, batch.samples, truth.samples, seeds[2 * r + 1]))
@@ -194,22 +194,19 @@ def mode_mass_balance(samples, mixture):
     }
 
 
-def compare_samplers(target, config, ula_step_size, ula_burn_in, ula_post_steps=None,
-                     out_dir=None, workers=1):
+def compare_samplers(target, config, ula_step_size, ula_burn_in, out_dir=None, workers=1):
     """Run the diffusion sampler and a budget-matched Langevin baseline.
 
     The budget is particles * steps * mc_size target evaluations for the
-    diffusion run. The Langevin chain length is chosen to match it, and an
-    explicitly supplied ula_post_steps that breaks the match is a
-    validation error.
+    diffusion run, so each Langevin chain runs steps * mc_size iterations:
+    ula_burn_in discarded, the rest kept. Neither run records its path.
 
     Args:
         target: TargetSpec both samplers draw from.
         config: SamplerConfig for the diffusion run (a Monte-Carlo drift
             mode; the budget is undefined for the exact evaluator).
         ula_step_size: Langevin step h.
-        ula_burn_in: discarded Langevin iterations.
-        ula_post_steps: optional explicit post-burn-in length.
+        ula_burn_in: discarded Langevin iterations, fewer than the budget.
         out_dir: when given, write comparison.json and both sample CSVs.
         workers: drift threads for the diffusion run.
 
@@ -227,21 +224,12 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, ula_post_steps=
         )
     total = config.steps * ev.m
     ula_burn_in = check_int("ula_burn_in", ula_burn_in, minimum=0)
-    if ula_post_steps is None:
-        ula_post_steps = total - ula_burn_in
-        if ula_post_steps < 1:
-            raise ValueError(
-                f"burn_in {ula_burn_in} eats the whole budget of {total} iterations"
-            )
-    else:
-        ula_post_steps = check_int("ula_post_steps", ula_post_steps)
-        if ula_burn_in + ula_post_steps != total:
-            raise ValueError(
-                f"budget mismatch: burn_in + post = {ula_burn_in + ula_post_steps} "
-                f"Langevin iterations, but the diffusion run uses {total} evaluations"
-            )
+    ula_post_steps = total - ula_burn_in
+    if ula_post_steps < 1:
+        raise ValueError(f"burn_in {ula_burn_in} eats the whole budget of {total} iterations")
 
     # Langevin first, so its checks refuse bad input before any diffusion work.
+    config = dataclasses.replace(config, record_trajectory=False)
     ula_cfg = dataclasses.replace(config, steps=ula_post_steps, eps=EpsSchedule())
     ula_batch = ula_run(ula_cfg, target, ula_step_size, ula_burn_in)
     sfs_batch = sfs_run(config, target, workers=workers)

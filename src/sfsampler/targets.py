@@ -444,23 +444,21 @@ def standard_gaussian(dim=1):
     return _mixture_spec("standard", mix, {"kind": "standard", "dim": dim})
 
 
-def gaussian(mean, regularity=None):
+def gaussian(mean):
     """Unit-covariance Gaussian N(mean, I); the drift is the constant mean."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     mix = GaussianMixture(np.ones(1), mean.reshape(1, -1))
     params = {"kind": "gaussian", "mean": [float(v) for v in mean]}
-    return _mixture_spec("gaussian", mix, params, regularity)
+    return _mixture_spec("gaussian", mix, params)
 
 
-def gaussian_mixture_target(weights, means, regularity=None, name="mixture"):
+def gaussian_mixture_target(weights, means):
     """Mixture of unit-covariance Gaussians with the stated weights and means.
 
     Args:
         weights: positive weights summing to one within 1e-12.
         means: (k, p) component means; a flat array is read as k means in
             one dimension.
-        regularity: optional declared TargetRegularity.
-        name: label used in configs and reports.
     """
     mix = GaussianMixture(weights, means)
     params = {
@@ -468,10 +466,10 @@ def gaussian_mixture_target(weights, means, regularity=None, name="mixture"):
         "weights": [float(w) for w in mix.weights],
         "means": [[float(v) for v in row] for row in mix.means],
     }
-    return _mixture_spec(name, mix, params, regularity)
+    return _mixture_spec("mixture", mix, params)
 
 
-def quartic_bump(radius=3.0, regularity=None):
+def quartic_bump(radius=3.0):
     """Compactly supported target with density proportional to (1-(x/a)^2)^2.
 
     One dimensional, supported on [-a, a]. The ratio f against the base
@@ -513,7 +511,6 @@ def quartic_bump(radius=3.0, regularity=None):
         dim=1,
         log_f=log_f,
         grad_log_f=grad_log_f,
-        regularity=regularity,
         params={"kind": "bump", "radius": a},
         sampler=sampler,
     )

@@ -434,6 +434,18 @@ def test_mixture_means_that_overflow_are_exit_4_before_any_file(tmp_path, capsys
     assert not os.path.exists(out)
 
 
+def test_compare_derives_the_langevin_length_and_refuses_post_steps(tmp_path, capsys):
+    # steps * mc_size - burn_in = 10 * 8 - 20 = 60 is the only length the budget allows.
+    cfg = _write(tmp_path, GOOD.replace("burn_in = 20\n", "burn_in = 20\npost_steps = 60\n"))
+    out = os.path.join(tmp_path, "o")
+    with mock.patch.object(harness, "sfs_run", side_effect=AssertionError("sampler ran")) as run:
+        assert main(["compare", "--config", cfg, "--out", out]) == 2
+    assert not run.called
+    assert _json_out(capsys) == {"error": "ConfigError", "exit": 2,
+                                 "message": "unknown key 'post_steps' in section [ula]"}
+    assert not os.path.exists(out)
+
+
 def test_compare_with_exact_drift_is_exit_4(tmp_path, capsys):
     cfg = _write(tmp_path, GOOD)
     assert main(["compare", "--config", cfg, "--out", os.path.join(tmp_path, "o"),

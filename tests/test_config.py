@@ -76,7 +76,7 @@ def test_full_config_parses(tmp_path):
     assert config.steps == 25
     assert config.eps == EpsSchedule(rule="fixed", value=0.125)
     ula = ula_from_config(sections)
-    assert ula == {"step_size": 0.05, "burn_in": 100, "post_steps": None}
+    assert ula == {"step_size": 0.05, "burn_in": 100}
     plan = plan_from_config(sections, config)
     assert plan.axis == "steps"
     assert plan.values == (4.0, 8.0, 16.0)
@@ -151,7 +151,6 @@ record_trajectory = true
 [ula]
 step_size = 0.05
 burn_in = 100
-post_steps = 53
 
 [plan]
 name = golden
@@ -193,7 +192,7 @@ def test_resolved_ini_bytes_are_pinned(tmp_path):
         name="golden", target_options=dict(target.params), base=config, axis="eps",
         values=(0.1, 0.2, 1 / 3), replications=4, metric="sliced",
     )
-    ula = {"step_size": 0.05, "burn_in": 100, "post_steps": 53}
+    ula = {"step_size": 0.05, "burn_in": 100}
     path = os.path.join(tmp_path, "full", "resolved.ini")
     write_resolved_ini(path, target, config, ula=ula, plan=plan)
     with open(path, "rb") as fh:

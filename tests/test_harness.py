@@ -270,9 +270,7 @@ def test_mode_mass_balance_matches_the_nearest_mean_by_cdist(p, k, n, seed):
 
 def test_compare_samplers_budget_validation(tmp_path):
     cfg = SamplerConfig(steps=10, particles=64, seed=5, drift="mc-grad", mc_size=8)
-    with pytest.raises(ValueError):
-        compare_samplers(MIX, cfg, ula_step_size=0.05, ula_burn_in=10, ula_post_steps=50)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="burn_in 80 eats the whole budget of 80 iterations"):
         compare_samplers(MIX, cfg, ula_step_size=0.05, ula_burn_in=80)
     exact_cfg = SamplerConfig(steps=10, particles=64, seed=5)
     with pytest.raises(ValueError):
@@ -311,6 +309,19 @@ def test_compare_samplers_report(tmp_path):
         assert "mode_mass" in report[side]
     for name in ("comparison.json", "sfs.csv", "ula.csv"):
         assert os.path.exists(os.path.join(out, name))
+
+
+def test_sweeps_and_comparisons_record_no_path(tmp_path):
+    # Both score terminal states alone, so a config's record_trajectory reaches no run.
+    base = SamplerConfig(steps=4, particles=64, seed=909, drift="mc-grad", mc_size=8,
+                         record_trajectory=True)
+    with mock.patch.object(harness, "sfs_run", wraps=harness.sfs_run) as run:
+        run_experiment(_tiny_plan(base=base), os.path.join(tmp_path, "sweep"))
+        report = compare_samplers(MIX, base, ula_step_size=0.05, ula_burn_in=20)
+    assert run.call_count == 3 * 3 + 1
+    assert not any(call.args[0].record_trajectory for call in run.call_args_list)
+    plain = dataclasses.replace(base, record_trajectory=False)
+    assert report == compare_samplers(MIX, plain, ula_step_size=0.05, ula_burn_in=20)
 
 
 def test_assignment_cell_over_its_limit_fails_before_any_run(tmp_path):

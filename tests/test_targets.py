@@ -224,11 +224,8 @@ def test_regularize_rejects_bad_inputs():
 
 
 def test_regularity_propagates_through_regularize():
-    t = gaussian_mixture_target(
-        [0.5, 0.5],
-        [[2.0], [-2.0]],
-        regularity=TargetRegularity(gamma=10.0, xi=0.1, zeta=2.0),
-    )
+    t = dataclasses.replace(gaussian_mixture_target([0.5, 0.5], [[2.0], [-2.0]]),
+                            regularity=TargetRegularity(gamma=10.0, xi=0.1, zeta=2.0))
     reg = regularize(t, 0.5)
     assert reg.regularity is not None
     assert reg.regularity.xi >= t.regularity.xi
