@@ -60,15 +60,11 @@ def build_parser():
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", required=report is None, help="output directory")
         for key, kind in RUN_KEYS.items():
-            if kind != "bool":  # record_trajectory is sample's --trajectory
-                p.add_argument("--" + key.replace("_", "-"), type=VALUE_TYPES[kind],
-                               help=f"override [run] {key}")
+            p.add_argument("--" + key.replace("_", "-"), type=VALUE_TYPES[kind],
+                           help=f"override [run] {key}")
         p.add_argument("--workers", type=int, default=1, help="drift evaluation threads (>= 1)")
         if name == "sample":
-            p.add_argument(
-                "--trajectory", dest="record_trajectory", action="store_const", const=True,
-                help="record and save full paths",
-            )
+            p.add_argument("--trajectory", action="store_true", help="record and save full paths")
         p.set_defaults(func=func, report=report)
     return parser
 
@@ -83,7 +79,7 @@ def _load(args):
     check_int("workers", args.workers)
     sections = read_ini(args.config)
     target = target_from_config(sections)
-    overrides = {key: getattr(args, key, None) for key in RUN_KEYS}
+    overrides = {key: getattr(args, key) for key in RUN_KEYS}
     config = sampler_from_config(sections, overrides)
     path = os.path.abspath(args.out or ".")  # the nearest existing path must be a directory
     while not os.path.exists(path):
@@ -99,7 +95,7 @@ def _emit(payload):
 
 def _cmd_sample(args):
     _, target, config = _load(args)
-    batch = sfs_run(config, target, workers=args.workers)
+    batch = sfs_run(config, target, workers=args.workers, record_trajectory=args.trajectory)
     paths = save_batch(batch, args.out, stem="samples")
     write_resolved_ini(os.path.join(args.out, "resolved.ini"), target, config)
     if batch.trajectories is not None:
@@ -160,8 +156,8 @@ def _cmd_drift_check(args):
 
 def _cmd_sweep(args):
     sections, target, base = _load(args)
-    plan = replace(plan_from_config(sections, base), workers=args.workers)
-    summary = run_experiment(plan, args.out)
+    plan = plan_from_config(sections, base)
+    summary = run_experiment(plan, args.out, workers=args.workers)
     write_resolved_ini(os.path.join(args.out, "resolved.ini"), target, base, plan=plan)
     return {
         "command": "sweep",

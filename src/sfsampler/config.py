@@ -31,7 +31,6 @@ RUN_KEYS = {
     "drift": "str",
     "mc_size": "int",
     "eps_rule": "str",
-    "record_trajectory": "bool",
 }
 _ULA_KEYS = {"step_size": "float", "burn_in": "int"}
 _PLAN_KEYS = {
@@ -52,7 +51,6 @@ _SECTIONS = {
     "ula": _ULA_KEYS,
     "plan": _PLAN_KEYS,
 }
-_BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
 def _floats(raw):
@@ -68,7 +66,6 @@ VALUE_TYPES = {
     "str": str,
     "int": int,
     "float": float,
-    "bool": lambda raw: _BOOL_WORDS[raw.lower()],
     "floats": _floats,
     "rows": lambda raw: [_floats(part) for part in raw.split(";")],
 }
@@ -79,7 +76,7 @@ def _parse_value(section, key, kind, raw):
     parse = VALUE_TYPES[kind]
     try:
         return parse(raw)
-    except (ValueError, KeyError):
+    except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot read {raw!r} as {kind}") from None
 
 
@@ -181,8 +178,6 @@ def plan_from_config(sections, base):
 
 
 def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple)):

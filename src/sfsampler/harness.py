@@ -41,7 +41,6 @@ class ExperimentPlan:
         values: at least three axis values.
         replications: independent runs per cell, at least three.
         metric: "w2_1d", "sliced", or "assignment" (metrics.W2_METRICS).
-        workers: drift-evaluation threads passed through to the runs.
     """
 
     name: str
@@ -51,11 +50,9 @@ class ExperimentPlan:
     values: tuple
     replications: int = 3
     metric: str = "w2_1d"
-    workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "replications", check_int("replications", self.replications, 3))
-        object.__setattr__(self, "workers", check_int("workers", self.workers))
         object.__setattr__(self, "values", tuple(self.values))
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
@@ -70,9 +67,8 @@ class ExperimentPlan:
             raise ValueError(f"metric must be one of {W2_METRICS}, got {self.metric!r}")
 
     def describe(self):
-        """The plan as plan.json holds it: every field but the thread count."""
+        """The plan as plan.json holds it."""
         desc = dataclasses.asdict(self)
-        del desc["workers"]
         desc["target"] = desc.pop("target_options")
         return desc
 
@@ -83,8 +79,10 @@ def _cell_config(base, axis, value):
     return dataclasses.replace(base, **{axis: int(value)})  # the count axes are field names
 
 
-def run_experiment(plan, out_dir):
+def run_experiment(plan, out_dir, workers=1):
     """Run every cell of a plan and write plan.json, cells.csv, summary.json.
+
+    ``workers`` drift threads run each cell; any count gives the same bytes.
 
     Returns:
         The summary dict. Failed cells appear under "failures" keyed by
@@ -103,7 +101,7 @@ def run_experiment(plan, out_dir):
     if plan.axis in ("mc_size", "eps"):
         m = 1 if plan.axis == "mc_size" else base.mc_size
         base = dataclasses.replace(base, mc_size=m, eps=EpsSchedule())
-    ev, _ = _run_evaluator(base, target, plan.workers)
+    ev, _ = _run_evaluator(base, target, workers)
     if plan.axis == "mc_size" and ev.mode == "exact":
         raise ValueError(
             "an mc_size sweep needs a Monte-Carlo drift mode; the closed-form drift ignores m"
@@ -129,9 +127,9 @@ def run_experiment(plan, out_dir):
             floor_b = sample_ground_truth(target, cfg.particles, seeds[-1]).samples
             floor = w2_score(plan.metric, floor_a, floor_b, seeds[-1])
             scores = []
-            for r in range(plan.replications):  # scored on terminal states, no path kept
-                run_cfg = dataclasses.replace(cfg, seed=seeds[2 * r], record_trajectory=False)
-                batch = sfs_run(run_cfg, target, workers=plan.workers)
+            for r in range(plan.replications):
+                run_cfg = dataclasses.replace(cfg, seed=seeds[2 * r])
+                batch = sfs_run(run_cfg, target, workers=workers)
                 truth = sample_ground_truth(target, cfg.particles, seeds[2 * r + 1])
                 scores.append(w2_score(plan.metric, batch.samples, truth.samples, seeds[2 * r + 1]))
             scores = np.asarray(scores)
@@ -229,7 +227,6 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, out_dir=None, w
         raise ValueError(f"burn_in {ula_burn_in} eats the whole budget of {total} iterations")
 
     # Langevin first, so its checks refuse bad input before any diffusion work.
-    config = dataclasses.replace(config, record_trajectory=False)
     ula_cfg = dataclasses.replace(config, steps=ula_post_steps, eps=EpsSchedule())
     ula_batch = ula_run(ula_cfg, target, ula_step_size, ula_burn_in)
     sfs_batch = sfs_run(config, target, workers=workers)

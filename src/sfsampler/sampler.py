@@ -100,7 +100,6 @@ class SamplerConfig:
         drift: "auto", "exact", "mc-grad", or "mc-stein".
         mc_size: Monte-Carlo batch size m for the mc modes.
         eps: Gaussian-floor schedule, bound once per run.
-        record_trajectory: keep the whole path, not just terminal states.
     """
 
     steps: int
@@ -109,7 +108,6 @@ class SamplerConfig:
     drift: str = "auto"
     mc_size: int | None = None
     eps: EpsSchedule = EpsSchedule()
-    record_trajectory: bool = False
 
     def __post_init__(self):
         for name in ("steps", "particles"):
@@ -119,9 +117,6 @@ class SamplerConfig:
         if self.mc_size is not None:
             object.__setattr__(self, "mc_size", check_int("mc_size", self.mc_size))
         object.__setattr__(self, "seed", _rng.check_seed(self.seed))
-        if not isinstance(self.record_trajectory, (bool, np.bool_)):
-            raise ValueError(f"record_trajectory must be a bool, got {self.record_trajectory!r}")
-        object.__setattr__(self, "record_trajectory", bool(self.record_trajectory))
 
 
 def _run_evaluator(config, target, workers=1):
@@ -155,7 +150,8 @@ def _euler_maruyama(x, drift, h, scale, seed, role, steps, message, path=None):
     return x
 
 
-def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_BUDGET):
+def sfs_run(config, target, *, workers=1, record_trajectory=False,
+            trajectory_budget=DEFAULT_TRAJECTORY_BUDGET):
     """Integrate the diffusion and return terminal states.
 
     Args:
@@ -165,6 +161,8 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
         workers: drift-evaluation threads, at least 1, which the run's
             DriftEvaluator checks and owns. Any value yields byte-identical
             results; more threads only speed up Monte-Carlo drift.
+        record_trajectory: keep the whole path, not just terminal states;
+            the samples and the resolved config are the same either way.
         trajectory_budget: cap on recorded path values (float64 count).
 
     Returns:
@@ -185,7 +183,7 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
                        sampler=dataclasses.asdict(config))
 
     trajectories = None
-    if config.record_trajectory:
+    if record_trajectory:
         need = n * (k_steps + 1) * p
         if need > trajectory_budget:
             raise ValueError(
@@ -205,8 +203,8 @@ def sfs_run(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_B
 
 def sfs_trajectory(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_BUDGET):
     """Run with path recording on; see sfs_run for everything else."""
-    config = dataclasses.replace(config, record_trajectory=True)
-    return sfs_run(config, target, workers=workers, trajectory_budget=trajectory_budget)
+    return sfs_run(config, target, workers=workers, record_trajectory=True,
+                   trajectory_budget=trajectory_budget)
 
 
 def ula_run(config, target, step_size, burn_in):

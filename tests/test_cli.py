@@ -113,13 +113,12 @@ def test_every_run_flag_reaches_the_run(tmp_path, capsys):
         "eps": {"rule": "fixed", "value": 0.25},
         "mc_size": 9,
         "particles": 6,
-        "record_trajectory": True,
         "seed": 3,
         "steps": 5,
     }
     with open(os.path.join(out, "resolved.ini")) as fh:
         assert "[run]\nseed = 3\nsteps = 5\nparticles = 6\ndrift = mc-stein\nmc_size = 9\n" \
-            "eps_rule = fixed:0.25\nrecord_trajectory = true\n" in fh.read()
+            "eps_rule = fixed:0.25\n" in fh.read()
 
 
 def test_sample_trajectory_flag(tmp_path, capsys):
@@ -129,6 +128,39 @@ def test_sample_trajectory_flag(tmp_path, capsys):
                  "--particles", "16"]) == 0
     path = np.load(os.path.join(out, "trajectories.npy"))
     assert path.shape == (16, 11, 1)
+
+
+def test_a_recorded_path_changes_no_byte_of_the_run(tmp_path, capsys):
+    # The path is a view of the run, not a setting of it: samples.csv, the
+    # sidecar and resolved.ini are the same bytes with and without it.
+    cfg = _write(tmp_path, GOOD)
+    files = {}
+    for flag in ([], ["--trajectory"]):
+        out = os.path.join(tmp_path, "path" if flag else "plain")
+        assert main(["sample", "--config", cfg, "--out", out, "--particles", "24"] + flag) == 0
+        capsys.readouterr()
+        for name in ("samples.csv", "resolved.ini"):
+            with open(os.path.join(out, name), "rb") as fh:
+                files.setdefault(name, []).append(fh.read())
+        with open(os.path.join(out, "samples.json")) as fh:
+            files.setdefault("samples.json", []).append({**json.load(fh), "wallclock": None})
+    for name, (plain, path) in files.items():
+        assert plain == path, name
+    assert not os.path.exists(os.path.join(tmp_path, "plain", "trajectories.npy"))
+    path = np.load(os.path.join(tmp_path, "path", "trajectories.npy"))
+    assert path.shape == (24, 11, 1)
+    terminal = load_batch(os.path.join(tmp_path, "path", "samples.csv")).samples
+    assert np.array_equal(path[:, -1], terminal)
+
+
+@pytest.mark.parametrize("command", ["sample", "sweep"])
+def test_a_run_file_cannot_ask_for_a_path(tmp_path, capsys, command):
+    cfg = _write(tmp_path, GOOD.replace("mc_size = 8\n", "mc_size = 8\nrecord_trajectory = true\n"))
+    out = os.path.join(tmp_path, "o")
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    assert _json_out(capsys) == {"error": "ConfigError", "exit": 2,
+                                 "message": "unknown key 'record_trajectory' in section [run]"}
+    assert not os.path.exists(out)
 
 
 def test_missing_config_file_is_exit_2(tmp_path, capsys):
@@ -310,7 +342,7 @@ def test_drift_check_needs_the_closed_form_before_any_mc_batch(tmp_path, capsys)
 def test_every_subcommand_takes_the_shared_flags():
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert list(sub.choices) == ["sample", "drift-check", "sweep", "compare", "regularity"]
-    overrides = {"--" + key.replace("_", "-") for key, kind in RUN_KEYS.items() if kind != "bool"}
+    overrides = {"--" + key.replace("_", "-") for key in RUN_KEYS}
     for name, parser in sub.choices.items():
         flags = {flag: action for action in parser._actions for flag in action.option_strings}
         assert {"--config", "--out", "--workers"} | overrides <= set(flags), name

@@ -146,7 +146,6 @@ particles = 33
 drift = mc-grad
 mc_size = 9
 eps_rule = fixed:0.30000000000000004
-record_trajectory = true
 
 [ula]
 step_size = 0.05
@@ -171,7 +170,6 @@ steps = 4
 particles = 8
 drift = auto
 eps_rule = none
-record_trajectory = false
 """
 
 
@@ -186,7 +184,7 @@ def test_resolved_ini_bytes_are_pinned(tmp_path):
     )
     config = SamplerConfig(
         steps=17, particles=33, seed=123456789, drift="mc-grad", mc_size=9,
-        eps=EpsSchedule(rule="fixed", value=0.1 + 0.2), record_trajectory=True,
+        eps=EpsSchedule(rule="fixed", value=0.1 + 0.2),
     )
     plan = ExperimentPlan(
         name="golden", target_options=dict(target.params), base=config, axis="eps",
@@ -225,7 +223,6 @@ _CONFIGS = st.builds(
     drift=st.sampled_from(("auto",) + DRIFT_MODES),
     mc_size=st.none() | st.integers(1, 10**9),
     eps=_SCHEDULES,
-    record_trajectory=st.booleans(),
 )
 
 
@@ -338,7 +335,6 @@ _VALUE_TYPES = {
     "str": st.text().filter(lambda s: s == s.strip()),
     "int": st.integers(),
     "float": _FINITE,
-    "bool": st.booleans(),
     "floats": st.lists(_FINITE, min_size=1, max_size=6),
     "rows": st.lists(st.lists(_FINITE, min_size=1, max_size=4), min_size=1, max_size=4),
 }
@@ -356,7 +352,6 @@ def test_every_value_type_round_trips_through_its_writer(kind):
 
 @pytest.mark.parametrize("kind, raw, message", [
     ("int", "1e3", "[run] key: cannot read '1e3' as int"),
-    ("bool", "maybe", "[run] key: cannot read 'maybe' as bool"),
     ("floats", " , ", "[run] key: cannot read ',' as floats"),
     ("rows", "2;", "[run] key: cannot read '2;' as rows"),
     ("rows", "2; ;-2", "[run] key: cannot read '2; ;-2' as rows"),

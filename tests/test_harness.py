@@ -53,14 +53,11 @@ def test_plan_validation():
         _tiny_plan(replications=2)
     with pytest.raises(ValueError):
         _tiny_plan(metric="kl")
-    with pytest.raises(ValueError):
-        _tiny_plan(workers=0)
-    for bad in ({"replications": 3.5}, {"replications": True}, {"workers": 1.5}, {"workers": True}):
+    for bad in ({"replications": 3.5}, {"replications": True}):
         with pytest.raises(ValueError):
             _tiny_plan(**bad)
-    plan = _tiny_plan(replications=np.int64(4), workers=np.int64(2))
-    assert (plan.replications, plan.workers) == (4, 2)
-    assert type(plan.replications) is int and type(plan.workers) is int
+    plan = _tiny_plan(replications=np.int64(4))
+    assert plan.replications == 4 and type(plan.replications) is int
     # Count axes take whole values only, floats such as 8.0 included; the
     # values are kept as given, for plan.json and cells.csv.
     for axis in ("steps", "particles", "mc_size"):
@@ -70,6 +67,21 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         _tiny_plan(values=(4, float("nan"), 16))
     _tiny_plan(axis="eps", values=(0.1, 0.25, 0.5))
+
+
+def test_run_experiment_checks_workers_before_writing(tmp_path):
+    for bad in (0, 1.5, True):
+        out = os.path.join(tmp_path, f"bad-{bad}")
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(_tiny_plan(), out, workers=bad)
+        assert not os.path.exists(os.path.join(out, "plan.json"))
+    # Any thread count gives the same bytes.
+    run_experiment(_tiny_plan(), os.path.join(tmp_path, "one"))
+    run_experiment(_tiny_plan(), os.path.join(tmp_path, "two"), workers=np.int64(2))
+    for name in ("plan.json", "cells.csv"):
+        with open(os.path.join(tmp_path, "one", name), "rb") as one, \
+                open(os.path.join(tmp_path, "two", name), "rb") as two:
+            assert one.read() == two.read(), name
 
 
 def test_run_experiment_writes_artifacts(tmp_path):
@@ -312,16 +324,20 @@ def test_compare_samplers_report(tmp_path):
 
 
 def test_sweeps_and_comparisons_record_no_path(tmp_path):
-    # Both score terminal states alone, so a config's record_trajectory reaches no run.
-    base = SamplerConfig(steps=4, particles=64, seed=909, drift="mc-grad", mc_size=8,
-                         record_trajectory=True)
-    with mock.patch.object(harness, "sfs_run", wraps=harness.sfs_run) as run:
+    # Both score terminal states alone, so no run keeps a path.
+    base = SamplerConfig(steps=4, particles=64, seed=909, drift="mc-grad", mc_size=8)
+    real, batches = harness.sfs_run, []
+
+    def keep(*args, **kwargs):
+        batches.append(real(*args, **kwargs))
+        return batches[-1]
+
+    with mock.patch.object(harness, "sfs_run", side_effect=keep) as run:
         run_experiment(_tiny_plan(base=base), os.path.join(tmp_path, "sweep"))
         report = compare_samplers(MIX, base, ula_step_size=0.05, ula_burn_in=20)
-    assert run.call_count == 3 * 3 + 1
-    assert not any(call.args[0].record_trajectory for call in run.call_args_list)
-    plain = dataclasses.replace(base, record_trajectory=False)
-    assert report == compare_samplers(MIX, plain, ula_step_size=0.05, ula_burn_in=20)
+    assert run.call_count == len(batches) == 3 * 3 + 1
+    assert all(batch.trajectories is None for batch in batches)
+    assert report == compare_samplers(MIX, base, ula_step_size=0.05, ula_burn_in=20)
 
 
 def test_assignment_cell_over_its_limit_fails_before_any_run(tmp_path):

@@ -185,9 +185,9 @@ def test_trajectory_ends_at_the_terminal_states():
 
 
 def test_trajectory_budget_guard():
-    cfg = SamplerConfig(steps=100, particles=1000, seed=0, record_trajectory=True)
+    cfg = SamplerConfig(steps=100, particles=1000, seed=0)
     with pytest.raises(ValueError):
-        sfs_run(cfg, MIX, trajectory_budget=1000)
+        sfs_run(cfg, MIX, record_trajectory=True, trajectory_budget=1000)
 
 
 def _broken_grad(value):
@@ -266,9 +266,8 @@ def test_failed_run_leaves_no_worker_running():
 def test_the_run_is_a_plain_euler_maruyama_loop_bit_for_bit(mode, workers):
     # m = 128 makes 85-row drift tiles, so 300 particles span four of them.
     m = None if mode == "exact" else 128
-    cfg = SamplerConfig(steps=4, particles=300, seed=31, drift=mode, mc_size=m,
-                        record_trajectory=True)
-    batch = sfs_run(cfg, MIX2, workers=workers)
+    cfg = SamplerConfig(steps=4, particles=300, seed=31, drift=mode, mc_size=m)
+    batch = sfs_run(cfg, MIX2, workers=workers, record_trajectory=True)
     y, path = sfs_reference(DriftEvaluator(MIX2, mode, m=m, seed=31), 31, 4, 300)
     assert batch.samples.tobytes() == y.tobytes()
     assert batch.trajectories.tobytes() == path.tobytes()
@@ -276,8 +275,8 @@ def test_the_run_is_a_plain_euler_maruyama_loop_bit_for_bit(mode, workers):
 
 def test_a_floored_run_is_the_plain_loop_on_the_floored_target():
     cfg = SamplerConfig(steps=3, particles=40, seed=8, drift="mc-grad", mc_size=64,
-                        eps=EpsSchedule.parse("fixed:0.2"), record_trajectory=True)
-    batch = sfs_run(cfg, quartic_bump(3.0), workers=2)
+                        eps=EpsSchedule.parse("fixed:0.2"))
+    batch = sfs_run(cfg, quartic_bump(3.0), workers=2, record_trajectory=True)
     ev = DriftEvaluator(regularize(quartic_bump(3.0), 0.2), "mc-grad", m=64, seed=8)
     y, path = sfs_reference(ev, 8, 3, 40)
     assert batch.samples.tobytes() == y.tobytes()
@@ -350,16 +349,6 @@ def test_config_validation():
     assert config.mc_size == 8 and type(config.mc_size) is int
 
 
-def test_record_trajectory_must_be_a_bool():
-    for bad in ("no", "yes", 1, 0, None, 1.0):
-        with pytest.raises(ValueError, match="record_trajectory must be a bool"):
-            SamplerConfig(steps=2, particles=3, seed=0, record_trajectory=bad)
-    for flag in (np.bool_(True), np.bool_(False)):
-        config = SamplerConfig(steps=2, particles=3, seed=0, record_trajectory=flag)
-        assert type(config.record_trajectory) is bool
-        assert config.record_trajectory == bool(flag)
-
-
 def test_regularized_run_tracks_the_regularized_law():
     # With a large fixed eps the run should land between the bump and the
     # base Gaussian; check first and second moments against the mixture law.
@@ -390,9 +379,9 @@ def test_batch_records_keep_their_golden_digests():
     cfg = SamplerConfig(steps=4, particles=8, seed=11, drift="mc-grad", mc_size=16,
                         eps=EpsSchedule(rule="fixed", value=0.1))
     assert sfs_run(cfg, MIX2).config_digest == (
-        "7493a3fcbb83bc5f034b1dcfbf129feb2596e8f52e31488b7aff55a5d1198818")
+        "8ae39c32f9f488e1581721157bceb8f1d1bdb256e3754a4f66c91c6eef6dad29")
     assert ula_run(SamplerConfig(steps=5, particles=8, seed=12), MIX2, 0.05, 3).config_digest == (
-        "08e43daded295448d79d75d36583783c852e20e2cac2ae267b2238401be5bce2")
+        "861d78e75d8a7fd5b19af4c34ddedfebe1fdec307f44a34010a38c9c16de6cb9")
     assert sample_ground_truth(quartic_bump(3.0), 8, 13).config_digest == (
         "3a97ea97bc18a9c52641e51773eedfbd178f4da938e35ff1ba14c9edfd416402")
 
