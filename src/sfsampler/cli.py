@@ -29,7 +29,7 @@ from .config import (
     ula_from_config,
     write_resolved_ini,
 )
-from .drift import ProbeGrid, drift_exact, estimate_regularity, probe_points
+from .drift import ProbeGrid, _mc_mode, drift_exact, estimate_regularity, probe_points
 from .drift import drift_mc_stein  # noqa: F401 - bench/workloads.py patches cli.drift_mc_stein
 from .errors import (
     ConfigError,
@@ -123,8 +123,7 @@ def _mc_evaluator(args):
         config = replace(config, mc_size=64)
     ev, _ = _run_evaluator(config, target, args.workers)
     if ev.mode == "exact":
-        mode = "mc-grad" if target.grad_log_f is not None else "mc-stein"
-        ev, _ = _run_evaluator(replace(config, drift=mode), target, args.workers)
+        ev, _ = _run_evaluator(replace(config, drift=_mc_mode(target)), target, args.workers)
     return ev
 
 
@@ -187,7 +186,7 @@ def _cmd_compare(args):
 def _cmd_regularity(args):
     ev = _mc_evaluator(args)
     target = ev.target
-    estimate = estimate_regularity(ev, seed=ev.seed)
+    estimate = estimate_regularity(ev)
     report = {"command": "regularity", "estimate": asdict(estimate), "target": target.name}
     if target.regularity is not None:
         reg = target.regularity

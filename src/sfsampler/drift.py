@@ -53,8 +53,11 @@ DRIFT_MODES = ("exact", "mc-grad", "mc-stein")
 
 def default_drift_mode(target):
     """Mode the sampler picks for "auto": the closed form when there is one."""
-    if target.mixture is not None:
-        return "exact"
+    return "exact" if target.mixture is not None else _mc_mode(target)
+
+
+def _mc_mode(target):
+    """The Monte-Carlo mode for a target: the gradient form when it has a gradient."""
     return "mc-grad" if target.grad_log_f is not None else "mc-stein"
 
 
@@ -112,9 +115,11 @@ class DriftEvaluator:
     def batch(self, points, t, step_index):
         """Drift at every row of ``points`` (n, p) at time t, as an (n, p) array.
 
-        The points must be finite with shape (n, p), as ``_coerce`` checks
-        them, and ``step_index`` a count from 0 in every mode. The exact mode
-        is the closed form and otherwise ignores the step. Row i
+        The points must be finite, and ``_coerce`` takes them as an (n, p)
+        batch, a (p,) point (one row), or on a 1-D target a scalar (one row)
+        or a length-n vector (n rows); ``step_index`` is a count from 0 in
+        every mode. The exact mode is the closed form and otherwise ignores
+        the step. Row i
         of a Monte-Carlo estimate uses the probes of particle i at step
         ``step_index``. Rows run in cache-sized tiles, a span of them at a
         time: one tile on the calling thread with one worker, whole tiles in
@@ -320,31 +325,19 @@ def drift_mc_stein(ev, x, t, step_index=0):
     return _drift_mc(ev, x, t, step_index, "mc-stein")
 
 
-@dataclass(frozen=True)
 class ProbeGrid:
-    """Where to probe the drift when estimating growth constants.
+    """Where the drift is probed when estimating growth constants.
 
     For dim <= 2 the points are a tensor grid on [lo, hi]^dim; in higher
     dimension they are random directions scaled by a radius ladder, since
-    a tensor grid is no longer affordable.
+    a tensor grid is no longer affordable. The grid is fixed.
     """
 
-    lo: float = -5.0
-    hi: float = 5.0
-    points_per_axis: int = 25
-    t_values: tuple = (0.0, 0.25, 0.5, 0.75, 0.99)
-    directions: int = 16
-    radial_points: int = 9
-
-    def __post_init__(self):
-        if not check_real("lo", self.lo) < check_real("hi", self.hi):
-            raise ValueError("need lo < hi")
-        for name, minimum in (("points_per_axis", 2), ("directions", 1), ("radial_points", 2)):
-            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
-        if len(self.t_values) == 0:
-            raise ValueError("t_values must hold at least one time")
-        for t in self.t_values:
-            _check_t(t, allow_one=False)
+    lo, hi = -5.0, 5.0
+    points_per_axis = 25
+    t_values = (0.0, 0.25, 0.5, 0.75, 0.99)
+    directions = 16
+    radial_points = 9
 
 
 def probe_points(grid, dim, seed=0):
@@ -378,25 +371,20 @@ class RegularityEstimate:
     n_points: int
 
 
-def estimate_regularity(evaluator, grid=None, seed=0):
-    """Probe the drift-growth conditions numerically.
+def estimate_regularity(evaluator):
+    """Probe the drift-growth conditions numerically on ``ProbeGrid()``.
 
     Probes ``evaluator``'s drift, so its Monte-Carlo noise is part of the
     estimate; on a mixture target the closed form is probed in its place.
-
-    Args:
-        evaluator: DriftEvaluator whose target and drift are probed.
-        grid: ProbeGrid, defaulting to the standard [-5, 5] box.
-        seed: seed for random directions in high dimension.
+    Above two dimensions the probe directions come from ``evaluator.seed``.
 
     Returns:
         RegularityEstimate with c0_hat, c1_hat, b_sup_hat.
     """
     if evaluator.target.mixture is not None:
-        evaluator = DriftEvaluator(target=evaluator.target, mode="exact")
-    if grid is None:
-        grid = ProbeGrid()
-    pts = probe_points(grid, evaluator.target.dim, seed)
+        evaluator = DriftEvaluator(evaluator.target, "exact", seed=evaluator.seed)
+    grid = ProbeGrid()
+    pts = probe_points(grid, evaluator.target.dim, evaluator.seed)
     ts = [float(t) for t in grid.t_values]
     n = pts.shape[0]
     drifts = [evaluator.batch(pts, t, k) for k, t in enumerate(ts)]

@@ -20,6 +20,7 @@ from .targets import sample_ground_truth
 
 ASSIGNMENT_MAX_POINTS = 512
 W2_METRICS = ("w2_1d", "sliced", "assignment")
+SLICED_PROJECTIONS = 64
 
 
 def _sample_1d(x):
@@ -56,12 +57,11 @@ class SlicedW2:
 
     value: float
     se: float
-    n_projections: int
     per_projection: np.ndarray = field(repr=False)
 
 
-def sliced_w2(x, y, n_projections=64, seed=0):
-    """Sliced W2: average the 1-D metric over random directions.
+def sliced_w2(x, y, seed=0):
+    """Sliced W2: average the 1-D metric over ``SLICED_PROJECTIONS`` random directions.
 
     Directions are uniform on the sphere with the largest-magnitude
     coordinate made positive; the flip changes nothing in distribution but
@@ -69,7 +69,6 @@ def sliced_w2(x, y, n_projections=64, seed=0):
 
     Args:
         x, y: (n, p) sample arrays of equal size.
-        n_projections: number of directions.
         seed: seed for the projection stream.
 
     Returns:
@@ -80,10 +79,9 @@ def sliced_w2(x, y, n_projections=64, seed=0):
     y = _sample_2d(y)
     if x.shape != y.shape:
         raise ValueError(f"sample shapes must match, got {x.shape} and {y.shape}")
-    n_projections = check_int("n_projections", n_projections)
     p = x.shape[1]
     gen = _rng.substream(seed, _rng.ROLE_PROJECTION, 0)
-    dirs = gen.standard_normal((n_projections, p))
+    dirs = gen.standard_normal((SLICED_PROJECTIONS, p))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     dirs /= norms
@@ -96,8 +94,8 @@ def sliced_w2(x, y, n_projections=64, seed=0):
         value = float(vals[0])
     else:
         value = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_projections)) if n_projections > 1 else float("nan")
-    return SlicedW2(value=value, se=se, n_projections=n_projections, per_projection=vals)
+    se = float(np.std(vals, ddof=1) / math.sqrt(SLICED_PROJECTIONS))
+    return SlicedW2(value=value, se=se, per_projection=vals)
 
 
 def exact_w2_assignment(x, y):

@@ -560,9 +560,7 @@ def gaussian_potential(mean, log_scale=0.0):
     is the natural shape for scale-invariance checks.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    if not np.isfinite(mean).all():
-        raise ValueError("mean must be finite")
-    _half_square(mean, "the potential mean")
+    _half_square(mean, "the potential mean")  # refuses NaN and inf too
     m = mean.copy()
 
     def potential(pts):

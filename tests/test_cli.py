@@ -545,7 +545,7 @@ def test_check_commands_without_a_floor_use_the_target_as_given(tmp_path, capsys
     assert main(["regularity", "--config", cfg]) == 0
     payload = _json_out(capsys)
     assert payload["target"] == target.name
-    estimate = estimate_regularity(ev, seed=config.seed)
+    estimate = estimate_regularity(ev)
     assert payload["estimate"] == asdict(estimate)
     if target.mixture is None:
         return

@@ -18,6 +18,7 @@ from oracles import mixture_f_derivatives, quadrature_drift_1d
 from sfsampler import (
     DriftEvaluator,
     ProbeGrid,
+    SamplerConfig,
     UnsupportedTargetError,
     default_drift_mode,
     drift_exact,
@@ -31,6 +32,7 @@ from sfsampler import (
     probe_points,
     quartic_bump,
     regularize,
+    sfs_run,
     standard_gaussian,
 )
 from sfsampler.errors import DriftSingularityError
@@ -162,6 +164,24 @@ def test_scale_shift_leaves_drift_bit_identical(mode):
         outs.append(np.vstack(rows))
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[1], outs[2])
+
+
+@pytest.mark.parametrize("log_c", [math.log(1e-6), math.log(1e6)], ids=["1e-6", "1e6"])
+def test_a_constant_folded_into_log_f_moves_the_drift_and_a_run_only_by_rounding(log_c):
+    # Folded into log f, a constant is no longer dropped before the weights
+    # are formed: log f - max log f is taken after the shift, so it cancels
+    # only up to rounding, not bit for bit as a declared log_scale does.
+    base = gaussian_potential([1.0])
+    folded = dataclasses.replace(base, log_f=lambda x: base.log_f(x) + log_c)
+    pts = np.array([[-2.0], [0.3], [4.0]])
+    for mode in ("mc-grad", "mc-stein"):
+        for t in (0.0, 0.4, 0.99):
+            want = DriftEvaluator(base, mode, m=32, seed=4).batch(pts, t, 1)
+            got = DriftEvaluator(folded, mode, m=32, seed=4).batch(pts, t, 1)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    config = SamplerConfig(steps=10, particles=64, seed=4, drift="mc-stein", mc_size=32)
+    want = sfs_run(config, base).samples
+    np.testing.assert_allclose(sfs_run(config, folded).samples, want, rtol=1e-12, atol=0.0)
 
 
 def test_evaluator_validation():
@@ -577,12 +597,24 @@ def test_regularity_estimate_needs_an_evaluator_for_general_targets():
     # A bump has no closed form, so it is probed through a Monte-Carlo evaluator.
     with pytest.raises(UnsupportedTargetError):
         DriftEvaluator(quartic_bump(3.0), "exact")
-    # Probing the full [-5, 5] grid would put every probe outside the bump
-    # support and correctly raise a singularity, so stay inside it here.
-    grid = ProbeGrid(lo=-2.0, hi=2.0)
-    ev = DriftEvaluator(target=quartic_bump(3.0), mode="mc-grad", m=64, seed=1)
-    est = estimate_regularity(ev, grid=grid)
+    # The [-5, 5] grid reaches past the bump's support [-3, 3], where every
+    # probe of the bare bump would fall on f = 0, so the floored bump is probed.
+    grid = ProbeGrid()
+    ev = DriftEvaluator(target=regularize(quartic_bump(3.0), 0.1), mode="mc-grad", m=64, seed=1)
+    est = estimate_regularity(ev)
     b = [ev.batch(probe_points(grid, 1), t, k) for k, t in enumerate(grid.t_values)]
     assert est.b_sup_hat == float(np.sqrt(np.max(np.concatenate(b) ** 2)))
     assert np.isfinite(est.c1_hat)
     assert est.b_sup_hat > 0.0
+
+
+def test_regularity_probes_the_directions_of_the_evaluators_seed():
+    # Above two dimensions the probe points are random directions; they
+    # come from the evaluator's seed, also where the closed form is probed.
+    mix3 = gaussian_mixture_target([0.3, 0.7], [[1.0, 0.0, 0.0], [-1.0, 0.5, 0.0]])
+    e = estimate_regularity(DriftEvaluator(mix3, "mc-grad", m=8, seed=2))
+    grid = ProbeGrid()
+    pts = probe_points(grid, 3, 2)
+    b = np.concatenate([drift_exact(mix3, pts, t) for t in grid.t_values])
+    assert e.b_sup_hat == float(np.sqrt(np.max(np.sum(b * b, axis=1))))
+    assert e != estimate_regularity(DriftEvaluator(mix3, "mc-grad", m=8, seed=0))

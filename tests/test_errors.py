@@ -9,7 +9,6 @@ import pytest
 from sfsampler import (
     DriftEvaluator,
     EpsSchedule,
-    ProbeGrid,
     SamplerConfig,
     TargetRegularity,
     TargetSpec,
@@ -22,7 +21,6 @@ from sfsampler import (
     quartic_bump,
     regularize,
     sample_ground_truth,
-    sliced_w2,
     standard_gaussian,
     ula_run,
     w2_noise_floor,
@@ -53,10 +51,8 @@ BAD = {
     "ula_run step_size": (lambda v: ula_run(CFG, MIX, v, 0), "0.1"),
     "ula_run burn_in": (lambda v: ula_run(CFG, MIX, 0.1, v), 2.5),
     "compare_samplers burn_in": (lambda v: compare_samplers(MIX, CFG, 0.1, v), 1.5),
-    "sliced_w2 n_projections": (lambda v: sliced_w2(PTS, PTS, n_projections=v), 2.5),
     "w2_noise_floor pairs": (lambda v: w2_noise_floor(MIX, 16, 0, pairs=v), 1.5),
     "DriftEvaluator workers": (lambda v: DriftEvaluator(MIX, "mc-grad", m=4, workers=v), 0),
-    "ProbeGrid points_per_axis": (lambda v: ProbeGrid(points_per_axis=v), 2.5),
     "drift_mc_grad step_index": (
         lambda v: drift_mc_grad(DriftEvaluator(MIX, "mc-grad", m=4), 0.5, 0.5, step_index=v),
         1.5,
@@ -65,8 +61,6 @@ BAD = {
     "substream step": (lambda v: rng.substream(0, rng.ROLE_DRIFT, v), 2.0),
     # Each row below is a check that no other test reaches.
     "DriftEvaluator.batch t": (lambda v: DriftEvaluator(MIX, "mc-grad", m=4).batch(PTS, v, 0), 1.5),
-    "ProbeGrid hi": (lambda v: ProbeGrid(lo=1.0, hi=v), 1.0),
-    "ProbeGrid t_values": (lambda v: ProbeGrid(t_values=v), ()),
     "DriftEvaluator.batch exact step_index": (
         lambda v: DriftEvaluator(MIX, "exact").batch(PTS, 0.5, v), -1),
     "substream step past 64 bits": (lambda v: rng.substream(0, rng.ROLE_DRIFT, v), 2**64),
