@@ -39,7 +39,7 @@ from .metrics import (
     wasserstein2_1d,
 )
 from .rng import STREAM_POLICY, child_seeds, substream
-from .sampler import EpsSchedule, SamplerConfig, sfs_run, sfs_trajectory, ula_run
+from .sampler import EpsSchedule, SamplerConfig, sfs_run, ula_run
 from .targets import (
     GaussianMixture,
     TargetRegularity,
@@ -102,7 +102,6 @@ __all__ = [
     "sample_ground_truth",
     "save_batch",
     "sfs_run",
-    "sfs_trajectory",
     "sliced_w2",
     "standard_gaussian",
     "substream",

@@ -37,7 +37,6 @@ from .errors import (
     NonFiniteStateError,
     UnknownTargetError,
     UnsupportedTargetError,
-    check_int,
 )
 from .harness import compare_samplers, run_experiment
 from .sampler import _run_evaluator, sfs_run
@@ -72,11 +71,11 @@ def build_parser():
 def _load(args):
     """Read the run file: its sections, the target, and the sampler config.
 
-    Every subcommand starts here, so --workers below 1 exits 4 and an --out
-    that cannot become a directory exits 2, both before any work. Each [run]
-    key whose flag was given overrides the file's value.
+    Every subcommand starts here, so an --out that cannot become a directory
+    exits 2 before any work; --workers below 1 exits 4 at the command's first
+    drift evaluator, also before any work. Each [run] key whose flag was given
+    overrides the file's value.
     """
-    check_int("workers", args.workers)
     sections = read_ini(args.config)
     target = target_from_config(sections)
     overrides = {key: getattr(args, key) for key in RUN_KEYS}

@@ -139,7 +139,9 @@ def sampler_from_config(sections, overrides=None):
             None values are ignored.
 
     Raises:
-        ConfigError: no seed anywhere, or an unknown override key.
+        ConfigError: no seed anywhere, an unknown override key, or an
+            eps_rule that is no rule.
+        ValueError: a setting out of range, a fixed eps outside (0, 1) too.
     """
     run = {**_RUN_DEFAULTS, **sections.get("run", {})}
     for key, value in (overrides or {}).items():
@@ -149,11 +151,7 @@ def sampler_from_config(sections, overrides=None):
             run[key] = value
     if "seed" not in run:
         raise ConfigError("no seed: set seed under [run] or pass --seed")
-    try:
-        eps = EpsSchedule.parse(str(run.pop("eps_rule")))
-    except ValueError as exc:
-        raise ConfigError(f"[run] eps_rule: {exc}") from None
-    return SamplerConfig(eps=eps, **run)
+    return SamplerConfig(eps=EpsSchedule.parse(str(run.pop("eps_rule"))), **run)
 
 
 def ula_from_config(sections):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng as _rng
 from .batches import config_digest, rate_table_csv, save_batch, write_json
-from .metrics import ASSIGNMENT_MAX_POINTS, W2_METRICS, fit_rate, w2_score
+from .metrics import ASSIGNMENT_MAX_POINTS, W2_METRICS, fit_rate, w2_noise_floor, w2_score
 from .errors import UnsupportedTargetError, check_int, check_real
 from .sampler import EpsSchedule, SamplerConfig, _run_evaluator, sfs_run, ula_run
 from .targets import build_target, sample_ground_truth
@@ -121,11 +121,9 @@ def run_experiment(plan, out_dir, workers=1):
     for ci, value in enumerate(plan.values):
         try:
             cfg = _cell_config(plan.base, plan.axis, value)
-            seeds = _rng.child_seeds(plan.base.seed, ci, 2 * plan.replications + 2)
+            seeds = _rng.child_seeds(plan.base.seed, ci, 2 * plan.replications + 1)
             # The floor first: a cell the metric cannot score fails before any run.
-            floor_a = sample_ground_truth(target, cfg.particles, seeds[-2]).samples
-            floor_b = sample_ground_truth(target, cfg.particles, seeds[-1]).samples
-            floor = w2_score(plan.metric, floor_a, floor_b, seeds[-1])
+            floor = w2_noise_floor(target, cfg.particles, seeds[-1], pairs=1, metric=plan.metric)
             scores = []
             for r in range(plan.replications):
                 run_cfg = dataclasses.replace(cfg, seed=seeds[2 * r])
@@ -206,7 +204,7 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, out_dir=None, w
         ula_step_size: Langevin step h.
         ula_burn_in: discarded Langevin iterations, fewer than the budget.
         out_dir: when given, write comparison.json and both sample CSVs.
-        workers: drift threads for the diffusion run.
+        workers: drift threads for the diffusion run, checked before either run.
 
     Returns:
         Report dict with per-sampler W2 and mode-mass balance.
@@ -214,7 +212,7 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, out_dir=None, w
     if target.sampler is None:
         raise UnsupportedTargetError(
             f"a comparison scores against ground truth; target {target.name!r} has no sampler")
-    ev, _ = _run_evaluator(config, target)
+    ev, _ = _run_evaluator(config, target, workers)
     if ev.mode == "exact":
         raise ValueError(
             "budget matching needs a Monte-Carlo drift mode; the exact "

@@ -26,10 +26,10 @@ from . import rng as _rng
 from .batches import SampleBatch
 from .drift import _CHUNK_VALUES  # noqa: F401 - bench/replay.py chunks its replay by it
 from .drift import DRIFT_MODES, DriftEvaluator
-from .errors import NonFiniteStateError, UnsupportedTargetError, check_int, check_real
+from .errors import ConfigError, NonFiniteStateError, UnsupportedTargetError, check_int, check_real
 from .targets import _record, _returned, regularize
 
-DEFAULT_TRAJECTORY_BUDGET = 1 << 27  # float64 values, about 1 GiB
+TRAJECTORY_BUDGET = 1 << 27  # recorded path values (float64), about 1 GiB
 
 
 @dataclass(frozen=True)
@@ -56,13 +56,22 @@ class EpsSchedule:
 
     @staticmethod
     def parse(text):
-        """Parse CLI/config syntax: none | log | power | fixed:<value>."""
+        """Parse CLI/config syntax: none | log | power | fixed:<value>.
+
+        Text that is no rule raises ConfigError; a fixed value that is a
+        number outside (0, 1) raises the constructor's ValueError.
+        """
         text = text.strip()
         if text in ("none", "log", "power"):
             return EpsSchedule(rule=text)
-        if text.startswith("fixed:"):
-            return EpsSchedule(rule="fixed", value=float(text.split(":", 1)[1]))
-        raise ValueError(f"cannot parse eps rule {text!r}")
+        rule, _, value = text.partition(":")
+        try:
+            value = float(value) if rule == "fixed" else None
+        except ValueError:
+            value = None
+        if value is None:
+            raise ConfigError(f"cannot parse eps rule {text!r}")
+        return EpsSchedule(rule="fixed", value=value)
 
     def __str__(self):
         """The text form ``parse`` reads back to an equal schedule."""
@@ -150,8 +159,7 @@ def _euler_maruyama(x, drift, h, scale, seed, role, steps, message, path=None):
     return x
 
 
-def sfs_run(config, target, *, workers=1, record_trajectory=False,
-            trajectory_budget=DEFAULT_TRAJECTORY_BUDGET):
+def sfs_run(config, target, *, workers=1, record_trajectory=False):
     """Integrate the diffusion and return terminal states.
 
     Args:
@@ -163,7 +171,8 @@ def sfs_run(config, target, *, workers=1, record_trajectory=False,
             results; more threads only speed up Monte-Carlo drift.
         record_trajectory: keep the whole path, not just terminal states;
             the samples and the resolved config are the same either way.
-        trajectory_budget: cap on recorded path values (float64 count).
+            A path of more than TRAJECTORY_BUDGET values is refused before
+            any step.
 
     Returns:
         SampleBatch with (n, dim) terminal states, the resolved config,
@@ -185,12 +194,9 @@ def sfs_run(config, target, *, workers=1, record_trajectory=False,
     trajectories = None
     if record_trajectory:
         need = n * (k_steps + 1) * p
-        if need > trajectory_budget:
-            raise ValueError(
-                f"trajectory recording needs {need} values, over the budget "
-                f"of {trajectory_budget}; raise trajectory_budget explicitly "
-                "or record fewer particles or steps"
-            )
+        if need > TRAJECTORY_BUDGET:
+            raise ValueError(f"trajectory recording needs {need} values, over the budget of "
+                             f"{TRAJECTORY_BUDGET}; record fewer particles or steps")
         trajectories = np.zeros((n, k_steps + 1, p))
 
     start = time.perf_counter()
@@ -199,12 +205,6 @@ def sfs_run(config, target, *, workers=1, record_trajectory=False,
         1.0 / k_steps, math.sqrt(1.0 / k_steps), config.seed, _rng.ROLE_INCREMENT, k_steps,
         "particle {} became non-finite after step {}", trajectories)
     return SampleBatch.record(y, resolved, config.seed, start, trajectories)
-
-
-def sfs_trajectory(config, target, *, workers=1, trajectory_budget=DEFAULT_TRAJECTORY_BUDGET):
-    """Run with path recording on; see sfs_run for everything else."""
-    return sfs_run(config, target, workers=workers, record_trajectory=True,
-                   trajectory_budget=trajectory_budget)
 
 
 def ula_run(config, target, step_size, burn_in):

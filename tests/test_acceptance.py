@@ -34,7 +34,6 @@ from sfsampler import (
     sample_ground_truth,
     save_batch,
     sfs_run,
-    sfs_trajectory,
     standard_gaussian,
     w2_noise_floor,
     wasserstein2_1d,
@@ -205,7 +204,7 @@ def test_06_second_moment_bound_along_the_chain():
     cfg = SamplerConfig(
         steps=100, particles=10_000, seed=6006, drift="mc-grad", mc_size=64
     )
-    path = sfs_trajectory(cfg, MIX, workers=4).trajectories
+    path = sfs_run(cfg, MIX, workers=4, record_trajectory=True).trajectories
     sq = np.sum(path * path, axis=2)
     means = sq.mean(axis=0)
     slack = 4.0 * sq.std(axis=0, ddof=1) / math.sqrt(sq.shape[0])

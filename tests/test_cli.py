@@ -153,6 +153,42 @@ def test_a_recorded_path_changes_no_byte_of_the_run(tmp_path, capsys):
     assert np.array_equal(path[:, -1], terminal)
 
 
+def test_a_path_over_the_budget_is_exit_4_before_any_file(tmp_path, capsys):
+    # 10**6 particles over 201 points is 2.01e8 values, over the 2**27 budget.
+    cfg = _write(tmp_path, GOOD)
+    out = os.path.join(tmp_path, "o")
+    assert main(["sample", "--config", cfg, "--out", out, "--trajectory",
+                 "--particles", "1000000", "--steps", "200"]) == 4
+    payload = _json_out(capsys)
+    assert payload["error"] == "ValueError"
+    assert payload["message"].endswith("; record fewer particles or steps")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("rule, code", [("fixed:1.5", 4), ("fixed:nan", 4), ("fixed:0", 4),
+                                        ("sqrt", 2), ("fixed:abc", 2), ("fixed:", 2),
+                                        ("log:0.5", 2)])
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_an_eps_rule_out_of_range_is_exit_4_and_one_that_is_no_rule_exit_2(
+        tmp_path, capsys, rule, code, where):
+    if where == "flag":
+        argv = ["--config", _write(tmp_path, GOOD), "--eps-rule", rule]
+    else:
+        text = GOOD.replace("mc_size = 8\n", f"mc_size = 8\neps_rule = {rule}\n")
+        argv = ["--config", _write(tmp_path, text)]
+    out = os.path.join(tmp_path, "o")
+    assert main(["sample", "--out", out] + argv) == code
+    payload = _json_out(capsys)
+    assert payload["exit"] == code
+    if code == 2:
+        assert payload == {"error": "ConfigError", "exit": 2,
+                           "message": f"cannot parse eps rule {rule!r}"}
+    else:
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith("fixed eps must be a finite real number in (0.0, 1.0)")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", ["sample", "sweep"])
 def test_a_run_file_cannot_ask_for_a_path(tmp_path, capsys, command):
     cfg = _write(tmp_path, GOOD.replace("mc_size = 8\n", "mc_size = 8\nrecord_trajectory = true\n"))

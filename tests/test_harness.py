@@ -19,12 +19,15 @@ from sfsampler import (
     NonFiniteStateError,
     SamplerConfig,
     UnsupportedTargetError,
+    build_target,
     compare_samplers,
     gaussian_mixture_target,
     harness,
     mode_mass_balance,
     run_experiment,
+    w2_noise_floor,
 )
+from sfsampler import rng as _rng
 
 MIX = gaussian_mixture_target([0.5, 0.5], [[2.0], [-2.0]])
 MIX_OPTIONS = {"kind": "mixture", "weights": [0.5, 0.5], "means": [[2.0], [-2.0]]}
@@ -107,6 +110,35 @@ def test_rerun_is_byte_identical(tmp_path):
     for name in ("cells.csv", "plan.json"):
         with open(os.path.join(a, name), "rb") as fa, open(os.path.join(b, name), "rb") as fb:
             assert fa.read() == fb.read(), name
+
+
+@pytest.mark.parametrize("metric, options", [
+    ("w2_1d", MIX_OPTIONS),
+    ("sliced", {"kind": "mixture", "weights": [0.3, 0.7], "means": [[1.0, -2.0], [-1.5, 0.5]]}),
+])
+def test_each_cell_noise_floor_is_one_pair_of_w2_noise_floor(tmp_path, metric, options):
+    plan = _tiny_plan(target_options=options, metric=metric)
+    summary = run_experiment(plan, os.path.join(tmp_path, "sweep"))
+    target = build_target(options)
+    for ci, cell in enumerate(summary["cells"]):
+        # Replication r runs on child seed 2r and scores on 2r + 1; the last is the floor's.
+        seed = _rng.child_seeds(plan.base.seed, ci, 2 * plan.replications + 1)[-1]
+        assert cell["noise_floor"] == w2_noise_floor(target, plan.base.particles, seed,
+                                                     pairs=1, metric=metric)
+
+
+def test_a_sweep_keeps_the_run_scores_it_had_with_its_own_floor_draws(tmp_path):
+    # w2_mean and w2_se as they were when the floor drew its two batches from two
+    # child seeds of its own: taking the floor from w2_noise_floor moved no run
+    # seed. On one Gaussian the closed-form drift is the constant mean, so the
+    # runs take no exp and the values pin exactly.
+    plan = _tiny_plan(target_options={"kind": "gaussian", "mean": [1.5]}, values=(2, 4, 8))
+    cells = run_experiment(plan, os.path.join(tmp_path, "sweep"))["cells"]
+    assert [(c["w2_mean"], c["w2_se"]) for c in cells] == [
+        (0.275886883347586, 0.04810529825513492),
+        (0.34944877606855024, 0.020361143418972272),
+        (0.29937557715797897, 0.03682565650927949),
+    ]
 
 
 def test_failed_cells_are_isolated(tmp_path):
@@ -296,6 +328,18 @@ def test_compare_samplers_needs_a_gradient_before_any_run(tmp_path):
     with mock.patch.object(harness, "sfs_run", side_effect=AssertionError("sampler ran")) as run:
         with pytest.raises(UnsupportedTargetError, match="Langevin needs grad log f"):
             compare_samplers(no_grad, cfg, ula_step_size=0.05, ula_burn_in=20, out_dir=out)
+    assert not run.called
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("workers", [0, -2, 1.5, True])
+def test_compare_samplers_checks_workers_before_the_langevin_run(tmp_path, workers):
+    cfg = SamplerConfig(steps=10, particles=64, seed=5, drift="mc-grad", mc_size=8)
+    out = os.path.join(tmp_path, "cmp")
+    with mock.patch.object(harness, "ula_run", side_effect=AssertionError("Langevin ran")) as run:
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            compare_samplers(MIX, cfg, ula_step_size=0.05, ula_burn_in=20, out_dir=out,
+                             workers=workers)
     assert not run.called
     assert not os.path.exists(out)
 

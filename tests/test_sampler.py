@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import sfs_reference, ula_reference
 from sfsampler import (
+    ConfigError,
     DriftEvaluator,
     EpsSchedule,
     NonFiniteStateError,
@@ -32,11 +33,11 @@ from sfsampler import (
     sample_ground_truth,
     save_batch,
     sfs_run,
-    sfs_trajectory,
     standard_gaussian,
     ula_run,
 )
 from sfsampler import drift as _drift
+from sfsampler.sampler import TRAJECTORY_BUDGET
 
 MIX = gaussian_mixture_target([0.5, 0.5], [[2.0], [-2.0]])
 MIX2 = gaussian_mixture_target([0.3, 0.7], [[1.0, -2.0], [-1.5, 0.5]])
@@ -78,7 +79,7 @@ def test_eps_schedule_parse_and_bind():
 
 
 def test_eps_schedule_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         EpsSchedule.parse("sqrt")
     with pytest.raises(ValueError):
         EpsSchedule(rule="fixed", value=1.5)
@@ -175,7 +176,7 @@ def test_workers_below_one_are_rejected_before_any_thread_starts(workers):
 
 def test_trajectory_ends_at_the_terminal_states():
     cfg = SamplerConfig(steps=9, particles=40, seed=4)
-    path = sfs_trajectory(cfg, MIX)
+    path = sfs_run(cfg, MIX, record_trajectory=True)
     assert path.trajectories.shape == (40, 10, 1)
     assert np.array_equal(path.trajectories[:, -1, :], path.samples)
     assert np.all(path.trajectories[:, 0, :] == 0.0)
@@ -185,9 +186,15 @@ def test_trajectory_ends_at_the_terminal_states():
 
 
 def test_trajectory_budget_guard():
-    cfg = SamplerConfig(steps=100, particles=1000, seed=0)
-    with pytest.raises(ValueError):
-        sfs_run(cfg, MIX, record_trajectory=True, trajectory_budget=1000)
+    # 10**6 particles over 201 points is 2.01e8 values, over the 2**27 budget.
+    cfg = SamplerConfig(steps=200, particles=10**6, seed=0)
+    assert cfg.particles * (cfg.steps + 1) > TRAJECTORY_BUDGET
+    with mock.patch.object(DriftEvaluator, "batch") as batch:
+        with pytest.raises(ValueError, match="record fewer particles or steps") as err:
+            sfs_run(cfg, MIX, record_trajectory=True)
+    assert not batch.called
+    assert "trajectory_budget" not in str(err.value)
+    assert "record_trajectory" not in str(err.value)
 
 
 def _broken_grad(value):
@@ -367,7 +374,7 @@ def test_every_batch_digest_covers_its_config():
     cfg = SamplerConfig(steps=3, particles=8, seed=2, drift="mc-grad", mc_size=4)
     for batch in (
         sfs_run(cfg, MIX),
-        sfs_trajectory(cfg, MIX),
+        sfs_run(cfg, MIX, record_trajectory=True),
         ula_run(cfg, MIX, step_size=0.1, burn_in=2),
         sample_ground_truth(MIX, 8, 2),
     ):
