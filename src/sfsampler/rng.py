@@ -1,22 +1,21 @@
-"""Deterministic stream derivation on top of the Philox counter generator.
+"""Deterministic stream derivation: one SFC64 stream per (seed, role, step).
 
-Stream policy ``philox-blocks-v1``: the root seed fills the 128-bit Philox
-key, and a (role, step) pair selects one substream through the counter
-words. A particle's draws are the rows of the block drawn from that
-substream, so row r is the same no matter how many rows are requested, in
-how many chunks they are generated, or how many worker threads consume
-them: blocks are produced sequentially from a single substream and Philox
-output is a pure function of (key, counter). Every reproducibility claim
-downstream rests on this rule.
+Stream policy ``sfc64-blocks-v1``: the 128-bit seed, the 64-bit role and the
+64-bit step, as eight fixed-width 32-bit words, seed a ``SeedSequence`` and
+through it one SFC64 generator. A particle's draws are the rows of the block
+drawn sequentially from that substream on the calling thread, so row r is the
+same no matter how many rows are requested, in how many chunks they are
+generated, or how many worker threads consume them. Every reproducibility
+claim downstream rests on this rule.
 """
 
 import numpy as np
 
 from .errors import check_int
 
-STREAM_POLICY = "philox-blocks-v1"
+STREAM_POLICY = "sfc64-blocks-v1"
 
-# Role words keep independent uses of one seed on disjoint counter ranges.
+# Role words keep independent uses of one seed on separate substreams.
 ROLE_INCREMENT = 1      # Euler-Maruyama Gaussian increments
 ROLE_DRIFT = 2          # Monte-Carlo drift batches
 ROLE_GROUND_TRUTH = 3   # ground-truth sampling
@@ -47,12 +46,11 @@ def substream(seed, role, step=0):
         step: step or iteration index within that role.
     """
     seed = check_seed(seed)
-    words = [check_int("role", role, minimum=0), check_int("step", step, minimum=0)]
-    if max(words) > _MASK64:
+    role, step = check_int("role", role, minimum=0), check_int("step", step, minimum=0)
+    if max(role, step) > _MASK64:
         raise ValueError("role and step must be non-negative 64-bit integers")
-    key = np.array([seed & _MASK64, seed >> 64], dtype=np.uint64)
-    counter = np.array([0, 0] + words, dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    key = seed.to_bytes(16, "little") + role.to_bytes(8, "little") + step.to_bytes(8, "little")
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(np.frombuffer(key, "<u4"))))
 
 
 def normal_rows(seed, role, step, n_rows, row_shape=()):

@@ -20,6 +20,7 @@ from sfsampler import (
     load_batch,
     probe_points,
     regularize,
+    rng,
 )
 from sfsampler.cli import build_parser, main
 from sfsampler.config import RUN_KEYS, read_ini, sampler_from_config, target_from_config
@@ -549,12 +550,22 @@ def test_regularity_on_a_floored_bump_runs_on_the_floored_target(tmp_path, capsy
 
 
 def test_regularity_on_a_bump_without_a_floor_is_exit_5_with_context(tmp_path, capsys):
-    # The probe box [-5, 5] reaches past the support [-3, 3].
+    # The probe box [-5, 5] reaches past the support [-3, 3]. The error names the
+    # first (step, grid point) whose 64 probes x + sqrt(1 - t) z, z the point's row
+    # of the seed-1 drift block, all fall where the bump is zero.
     assert main(["regularity", "--config", _write(tmp_path, BUMP)]) == 5
     payload = _json_out(capsys)
     assert payload["error"] == "DriftSingularityError"
-    assert payload["context"]["particle_index"] == 0
-    assert payload["context"]["step_index"] == 0
+    grid = ProbeGrid()
+    pts = probe_points(grid, 1)
+    for k, t in enumerate(grid.t_values):
+        z = rng.normal_rows(1, rng.ROLE_DRIFT, k, len(pts), (64, 1))
+        outside = np.all(np.abs(pts[:, None] + np.sqrt(1.0 - t) * z) >= 3.0, axis=(1, 2))
+        if outside.any():
+            break
+    assert outside.any()
+    assert payload["context"]["step_index"] == k
+    assert payload["context"]["particle_index"] == int(np.argmax(outside))
 
 
 def test_drift_check_measures_against_the_floored_closed_form(tmp_path, capsys):

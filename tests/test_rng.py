@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfsampler import rng
+
+ROLES = sorted(getattr(rng, name) for name in dir(rng) if name.startswith("ROLE_"))
 
 
 def test_substream_is_deterministic():
@@ -56,3 +60,61 @@ def test_child_seeds_deterministic_and_distinct():
     assert len(set(a)) == 8
     assert all(0 <= s < (1 << 63) for s in a)
     assert rng.child_seeds(42, 4, 8) != a
+
+
+@st.composite
+def block_cases(draw):
+    n = draw(st.integers(1, 40))
+    return dict(
+        seed=draw(st.integers(0, rng.MAX_SEED)),
+        role=draw(st.one_of(st.sampled_from(ROLES), st.integers(0, 2**64 - 1))),
+        step=draw(st.integers(0, 2**64 - 1)),
+        n=n,
+        width=draw(st.integers(1, 6)),
+        cuts=sorted(draw(st.lists(st.integers(0, n), max_size=4))),
+        more=draw(st.integers(1, 30)),
+        row=draw(st.integers(0, n - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_cases())
+def test_a_row_depends_on_neither_the_chunking_nor_n(case):
+    seed, role, step, n, width = (case[k] for k in ("seed", "role", "step", "n", "width"))
+    block = rng.normal_rows(seed, role, step, n, (width,))
+    gen = rng.substream(seed, role, step)
+    edges = [0, *case["cuts"], n]
+    chunks = [np.empty((hi - lo, width)) for lo, hi in zip(edges, edges[1:])]
+    for chunk in chunks:
+        gen.standard_normal(out=chunk)
+    assert np.array_equal(np.vstack(chunks), block)
+    assert np.array_equal(rng.normal_rows(seed, role, step, n + case["more"], (width,))[:n], block)
+    assert np.array_equal(rng.normal_row(seed, role, step, case["row"], (width,)),
+                          block[case["row"]])
+
+
+@pytest.mark.parametrize("a, b", [
+    ((5, 1 + 2 * 2**32, 3), (5, 1, 2 + 3 * 2**32)),
+    ((7, 2**32, 5), (7, 0, 1 + 5 * 2**32)),
+    ((1 + 2 * 2**32, 3, 0), (1, 2 + 3 * 2**32, 0)),
+])
+def test_triples_a_variable_width_encoding_merges_get_their_own_streams(a, b):
+    # numpy writes each int of an entropy list in as few 32-bit words as it
+    # needs, so both triples become the same words there.
+    merged = [np.random.SeedSequence(list(triple)).generate_state(4) for triple in (a, b)]
+    assert np.array_equal(*merged)
+    assert not np.array_equal(rng.substream(*a).standard_normal(16),
+                              rng.substream(*b).standard_normal(16))
+
+
+def test_a_substream_is_sfc64_on_eight_fixed_width_words_with_golden_normals():
+    # Seed words low first, then the role's two words and the step's two. The
+    # pinned normals fail if numpy changes SFC64, SeedSequence or its normals.
+    seed, step = 0x0123456789ABCDEFFEDCBA9876543210, 2**32 + 7
+    words = [0x76543210, 0xFEDCBA98, 0x89ABCDEF, 0x01234567, rng.ROLE_DRIFT, 0, 7, 1]
+    own = np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
+    got = rng.substream(seed, rng.ROLE_DRIFT, step).standard_normal(4)
+    assert np.array_equal(got, own.standard_normal(4))
+    assert got.tolist() == [
+        1.1143660108367095, -1.067975750743308, -1.2737953699900333, -0.3083394885739935]
+    assert rng.STREAM_POLICY == "sfc64-blocks-v1"

@@ -386,11 +386,11 @@ def test_batch_records_keep_their_golden_digests():
     cfg = SamplerConfig(steps=4, particles=8, seed=11, drift="mc-grad", mc_size=16,
                         eps=EpsSchedule(rule="fixed", value=0.1))
     assert sfs_run(cfg, MIX2).config_digest == (
-        "8ae39c32f9f488e1581721157bceb8f1d1bdb256e3754a4f66c91c6eef6dad29")
+        "43d18b119e336aef8bf7bc7be16bb611bdef52aaf4af54fa0308f61163b8f902")
     assert ula_run(SamplerConfig(steps=5, particles=8, seed=12), MIX2, 0.05, 3).config_digest == (
-        "861d78e75d8a7fd5b19af4c34ddedfebe1fdec307f44a34010a38c9c16de6cb9")
+        "a4b0c7cc667a46661495fa7e0784f4f6e67b2683301a60f05dc90ac3c2c65ed0")
     assert sample_ground_truth(quartic_bump(3.0), 8, 13).config_digest == (
-        "3a97ea97bc18a9c52641e51773eedfbd178f4da938e35ff1ba14c9edfd416402")
+        "7475a5c6198268bae22d9cd56131efb7730728039fc165540867ee67d26002ae")
 
 
 def test_ground_truth_and_run_share_nothing_but_the_seed_policy():
