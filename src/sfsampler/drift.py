@@ -108,7 +108,7 @@ class DriftEvaluator:
                 raise UnsupportedTargetError(
                     f"gradient-form estimator needs grad log f, {self.target.name!r} has none"
                 )
-        _rng.check_seed(self.seed)
+        object.__setattr__(self, "seed", _rng.check_seed(self.seed))
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "m", m)
 

@@ -59,8 +59,10 @@ class ExperimentPlan:
         if len(self.values) < 3:
             raise ValueError(f"a sweep needs at least 3 axis values, got {len(self.values)}")
         # A count axis takes whole values only; one below 1 fails its own cell.
-        for value in self.values:
-            value = check_real(f"{self.axis} value", value)
+        values = [check_real(f"{self.axis} value", value) for value in self.values]
+        if len(set(values)) < len(values):
+            raise ValueError(f"{self.axis} values must differ, got {self.values!r}")
+        for value in values:
             if not value.is_integer() and self.axis != "eps":
                 raise ValueError(f"{self.axis} values must be whole numbers, got {value!r}")
         if self.metric not in W2_METRICS:
@@ -225,8 +227,8 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, out_dir=None, w
         raise ValueError(f"burn_in {ula_burn_in} eats the whole budget of {total} iterations")
 
     # Langevin first, so its checks refuse bad input before any diffusion work.
-    ula_cfg = dataclasses.replace(config, steps=ula_post_steps, eps=EpsSchedule())
-    ula_batch = ula_run(ula_cfg, target, ula_step_size, ula_burn_in)
+    ula_batch = ula_run(target, config.particles, config.seed, ula_post_steps, ula_step_size,
+                        ula_burn_in)
     sfs_batch = sfs_run(config, target, workers=workers)
 
     gt_seed = _rng.child_seeds(config.seed, 0, 1)[0]

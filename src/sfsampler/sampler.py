@@ -100,7 +100,7 @@ class EpsSchedule:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Static description of one run; its ``asdict`` form is what the digest covers.
+    """Static description of one diffusion run; its ``asdict`` form is what the digest covers.
 
     Attributes:
         steps: number K of Euler steps.
@@ -207,20 +207,21 @@ def sfs_run(config, target, *, workers=1, record_trajectory=False):
     return SampleBatch.record(y, resolved, config.seed, start, trajectories)
 
 
-def ula_run(config, target, step_size, burn_in):
+def ula_run(target, particles, seed, steps, step_size, burn_in):
     """Unadjusted Langevin baseline: n parallel chains, terminal states kept.
 
-    Each chain starts from the base Gaussian and runs burn_in plus
-    config.steps iterations of x <- x + h grad log pi(x) + sqrt(2h) xi_k,
-    where pi is the target density: ``sfs_run``'s Euler-Maruyama loop, with
-    xi_k from the Langevin step streams. The eps schedule must be "none". A
-    chain that leaves the finite range raises NonFiniteStateError, the first
-    such chain and its iteration in the message.
+    Each chain starts from the base Gaussian and runs burn_in plus steps
+    iterations of x <- x + h grad log pi(x) + sqrt(2h) xi_k, where pi is the
+    target density: ``sfs_run``'s Euler-Maruyama loop, with xi_k from the
+    Langevin step streams. A chain that leaves the finite range raises
+    NonFiniteStateError, the first such chain and its iteration in the
+    message. The record holds these settings alone.
 
     Args:
-        config: SamplerConfig; steps counts post-burn-in iterations, and
-            drift/mc_size are ignored.
         target: TargetSpec with a gradient.
+        particles: number n of chains.
+        seed: root seed of the Langevin init and step streams.
+        steps: iterations kept after burn-in, at least 1.
         step_size: positive Langevin step h.
         burn_in: non-negative iterations discarded before the terminal state.
 
@@ -229,20 +230,16 @@ def ula_run(config, target, step_size, burn_in):
     """
     if target.grad_log_f is None:
         raise UnsupportedTargetError(f"Langevin needs grad log f, {target.name!r} has none")
-    if config.eps.rule != "none":
-        raise ValueError("the eps schedule applies to the diffusion sampler, not Langevin")
+    n, p, seed = check_int("particles", particles), target.dim, _rng.check_seed(seed)
+    steps, burn_in = check_int("steps", steps), check_int("burn_in", burn_in, minimum=0)
     step_size = check_real("step_size", step_size, low=0.0)
-    burn_in = check_int("burn_in", burn_in, minimum=0)
-
-    n, p = config.particles, target.dim
-    total = burn_in + config.steps
-    resolved = _record(target, algorithm="ula", sampler=dataclasses.asdict(config),
-                       ula={"burn_in": burn_in, "step_size": step_size, "total_steps": total})
+    resolved = _record(target, algorithm="ula", ula={
+        "burn_in": burn_in, "particles": n, "seed": seed, "step_size": step_size, "steps": steps})
 
     start = time.perf_counter()
     x = _euler_maruyama(
-        _rng.substream(config.seed, _rng.ROLE_ULA_INIT, 0).standard_normal((n, p)),
+        _rng.substream(seed, _rng.ROLE_ULA_INIT, 0).standard_normal((n, p)),
         lambda x, k: _returned(target, "grad_log_f", target.grad_log_f(x), (n, p)) - x,
-        step_size, math.sqrt(2.0 * step_size), config.seed, _rng.ROLE_ULA_STEP, total,
+        step_size, math.sqrt(2.0 * step_size), seed, _rng.ROLE_ULA_STEP, burn_in + steps,
         "Langevin chain {} became non-finite after iteration {}")
-    return SampleBatch.record(x, resolved, config.seed, start)
+    return SampleBatch.record(x, resolved, seed, start)

@@ -214,6 +214,16 @@ def test_missing_seed_is_exit_2(tmp_path, capsys):
     assert _json_out(capsys)["error"] == "ConfigError"
 
 
+def test_repeated_plan_values_are_exit_2_before_any_file(tmp_path, capsys):
+    text = GOOD.replace("axis = steps\nvalues = 4 8 16", "axis = particles\nvalues = 600 600 64 64")
+    cfg = _write(tmp_path, text.replace("metric = w2_1d", "metric = assignment"))
+    out = os.path.join(tmp_path, "o")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 2
+    payload = _json_out(capsys)
+    assert payload["error"] == "ConfigError" and "particles values must differ" in payload["message"]
+    assert not os.path.exists(out)
+
+
 def test_non_whole_count_in_plan_is_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, GOOD.replace("values = 4 8 16", "values = 4.5 8 16"))
     out = os.path.join(tmp_path, "o")

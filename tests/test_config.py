@@ -239,7 +239,7 @@ def _run_files(draw):
         target_options=ROUND_TRIP_OPTIONS,
         base=config,
         axis=axis,
-        values=tuple(draw(st.lists(value, min_size=3, max_size=6))),
+        values=tuple(draw(st.lists(value, min_size=3, max_size=6, unique=True))),
         replications=draw(st.integers(3, 10**6)),
         metric=draw(st.sampled_from(W2_METRICS)),
     )

@@ -48,8 +48,11 @@ BAD = {
     "from_potential dim": (_potential, "1"),
     "quartic_bump radius": (quartic_bump, "3"),
     "EpsSchedule value": (lambda v: EpsSchedule("fixed", v), "0.5"),
-    "ula_run step_size": (lambda v: ula_run(CFG, MIX, v, 0), "0.1"),
-    "ula_run burn_in": (lambda v: ula_run(CFG, MIX, 0.1, v), 2.5),
+    "ula_run step_size": (lambda v: ula_run(MIX, 16, 3, 2, v, 0), "0.1"),
+    "ula_run burn_in": (lambda v: ula_run(MIX, 16, 3, 2, 0.1, v), 2.5),
+    "ula_run particles": (lambda v: ula_run(MIX, v, 3, 2, 0.1, 0), 16.0),
+    "ula_run steps": (lambda v: ula_run(MIX, 16, 3, v, 0.1, 0), "2"),
+    "ula_run seed": (lambda v: ula_run(MIX, 16, v, 2, 0.1, 0), 2**128),
     "compare_samplers burn_in": (lambda v: compare_samplers(MIX, CFG, 0.1, v), 1.5),
     "w2_noise_floor pairs": (lambda v: w2_noise_floor(MIX, 16, 0, pairs=v), 1.5),
     "DriftEvaluator workers": (lambda v: DriftEvaluator(MIX, "mc-grad", m=4, workers=v), 0),
@@ -87,8 +90,9 @@ def test_bad_counts_and_reals_raise_value_error(call, bad):
         (lambda v: TargetSpec("probe", v, MIX.log_f).dim, np.int64(1), int),
         (lambda v: TargetRegularity(gamma=v, xi=1.0).gamma, np.float32(2.0), float),
         (lambda v: regularize(quartic_bump(), v).params["eps"], np.float32(0.25), float),
+        (lambda v: DriftEvaluator(MIX, "mc-grad", m=8, seed=v).seed, np.int64(3), int),
     ],
-    ids=["TargetSpec dim", "TargetRegularity gamma", "regularize eps"],
+    ids=["TargetSpec dim", "TargetRegularity gamma", "regularize eps", "DriftEvaluator seed"],
 )
 def test_numpy_counts_and_reals_are_accepted(read, value, kind):
     stored = read(value)

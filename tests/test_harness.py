@@ -70,6 +70,11 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         _tiny_plan(values=(4, float("nan"), 16))
     _tiny_plan(axis="eps", values=(0.1, 0.25, 0.5))
+    # Cells are keyed by the value as a float, so values equal as floats are refused.
+    for axis, values in (("particles", (600, 600, 64, 64)), ("steps", (4, 8, 4.0)),
+                         ("eps", (0.5, 0.25, 0.5))):
+        with pytest.raises(ValueError, match=f"{axis} values must differ"):
+            _tiny_plan(axis=axis, values=values)
 
 
 def test_run_experiment_checks_workers_before_writing(tmp_path):
@@ -365,6 +370,26 @@ def test_compare_samplers_report(tmp_path):
         assert "mode_mass" in report[side]
     for name in ("comparison.json", "sfs.csv", "ula.csv"):
         assert os.path.exists(os.path.join(out, name))
+
+
+def test_the_langevin_files_do_not_depend_on_the_diffusion_drift(tmp_path):
+    # Only the budget, particles and seed reach the chain; its record holds no drift.
+    outs = []
+    for drift in ("mc-grad", "mc-stein"):
+        cfg = SamplerConfig(steps=10, particles=64, seed=5, drift=drift, mc_size=8)
+        outs.append(os.path.join(tmp_path, drift))
+        compare_samplers(MIX, cfg, ula_step_size=0.05, ula_burn_in=20, out_dir=outs[-1])
+    files = []
+    for out in outs:
+        with open(os.path.join(out, "ula.csv"), "rb") as fh:
+            csv = fh.read()
+        with open(os.path.join(out, "ula.json")) as fh:
+            sidecar = json.load(fh)
+        assert sidecar.pop("wallclock") >= 0.0
+        files.append((csv, sidecar))
+    assert files[0] == files[1]
+    assert files[0][1]["config"]["ula"] == {"burn_in": 20, "particles": 64, "seed": 5,
+                                            "step_size": 0.05, "steps": 60}
 
 
 def test_sweeps_and_comparisons_record_no_path(tmp_path):

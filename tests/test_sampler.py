@@ -223,12 +223,11 @@ def test_nonfinite_langevin_chain_is_the_first_bad_one():
     # The gradient is NaN only right of 1, so the chains that start there fail first.
     cut = from_potential(lambda x: 0.5 * np.sum(x * x, axis=1),
                          lambda x: np.where(x > 1.0, np.nan, x), dim=1, name="cut")
-    cfg = SamplerConfig(steps=3, particles=50, seed=4)
     start = rng.substream(4, rng.ROLE_ULA_INIT, 0).standard_normal((50, 1))
     first = int(np.argmax(start[:, 0] > 1.0))
     assert first > 0
     with pytest.raises(NonFiniteStateError) as err:
-        ula_run(cfg, cut, step_size=0.1, burn_in=0)
+        ula_run(cut, 50, 4, 3, step_size=0.1, burn_in=0)
     assert (err.value.particle_index, err.value.step_index) == (first, 0)
     assert str(err.value) == f"Langevin chain {first} became non-finite after iteration 0"
 
@@ -293,40 +292,31 @@ def test_a_floored_run_is_the_plain_loop_on_the_floored_target():
 @pytest.mark.parametrize("target", [MIX2, gaussian_potential([0.5, -1.0, 2.0])],
                          ids=["mixture", "potential-3d"])
 def test_ula_is_a_plain_euler_maruyama_loop_bit_for_bit(target):
-    batch = ula_run(SamplerConfig(steps=25, particles=97, seed=13), target, 0.05, 15)
+    batch = ula_run(target, 97, 13, 25, 0.05, 15)
     assert batch.samples.tobytes() == ula_reference(target, 13, 0.05, 40, 97).tobytes()
 
 
 def test_ula_matches_gaussian_moments():
     g = gaussian([1.0])
-    cfg = SamplerConfig(steps=400, particles=4000, seed=6, drift="mc-grad", mc_size=1)
-    batch = ula_run(cfg, g, step_size=0.05, burn_in=400)
+    batch = ula_run(g, 4000, 6, 400, step_size=0.05, burn_in=400)
     # ULA has O(h) stationary bias, so the bands are wider than 4 sigma.
     assert abs(batch.samples.mean() - 1.0) < 0.1
     assert abs(batch.samples.var() - 1.0) < 0.1
     assert batch.config["algorithm"] == "ula"
 
 
-def test_ula_needs_gradient_and_plain_eps():
+def test_ula_needs_a_gradient():
     no_grad = from_potential(lambda x: 0.5 * np.sum(x * x, axis=1), None, dim=1)
-    cfg = SamplerConfig(steps=10, particles=8, seed=0, drift="mc-stein", mc_size=4)
     with pytest.raises(UnsupportedTargetError):
-        ula_run(cfg, no_grad, step_size=0.1, burn_in=5)
-    cfg_eps = SamplerConfig(
-        steps=10, particles=8, seed=0, drift="mc-grad", mc_size=4,
-        eps=EpsSchedule(rule="power"),
-    )
-    with pytest.raises(ValueError):
-        ula_run(cfg_eps, MIX, step_size=0.1, burn_in=5)
+        ula_run(no_grad, 8, 0, 10, step_size=0.1, burn_in=5)
 
 
 def test_ula_rejects_a_wrong_shaped_gradient():
     # A 1-D gradient of shape (n,) would broadcast against the (n, 1) state.
     flat = TargetSpec(name="flat-grad", dim=1, log_f=lambda x: -0.5 * x[:, 0] ** 2,
                       grad_log_f=lambda x: -x[:, 0])
-    cfg = SamplerConfig(steps=3, particles=4, seed=0)
     with pytest.raises(UnsupportedTargetError, match="grad_log_f"):
-        ula_run(cfg, flat, step_size=0.1, burn_in=0)
+        ula_run(flat, 4, 0, 3, step_size=0.1, burn_in=0)
 
 
 def test_config_validation():
@@ -375,7 +365,7 @@ def test_every_batch_digest_covers_its_config():
     for batch in (
         sfs_run(cfg, MIX),
         sfs_run(cfg, MIX, record_trajectory=True),
-        ula_run(cfg, MIX, step_size=0.1, burn_in=2),
+        ula_run(MIX, 8, 2, 3, step_size=0.1, burn_in=2),
         sample_ground_truth(MIX, 8, 2),
     ):
         assert batch.config_digest == config_digest(batch.config)
@@ -387,8 +377,8 @@ def test_batch_records_keep_their_golden_digests():
                         eps=EpsSchedule(rule="fixed", value=0.1))
     assert sfs_run(cfg, MIX2).config_digest == (
         "43d18b119e336aef8bf7bc7be16bb611bdef52aaf4af54fa0308f61163b8f902")
-    assert ula_run(SamplerConfig(steps=5, particles=8, seed=12), MIX2, 0.05, 3).config_digest == (
-        "a4b0c7cc667a46661495fa7e0784f4f6e67b2683301a60f05dc90ac3c2c65ed0")
+    assert ula_run(MIX2, 8, 12, 5, 0.05, 3).config_digest == (
+        "fe2c1185087f5e4282b8bd0f75fbadd3fa050112c58b532a5a355bf03b049fcc")
     assert sample_ground_truth(quartic_bump(3.0), 8, 13).config_digest == (
         "7475a5c6198268bae22d9cd56131efb7730728039fc165540867ee67d26002ae")
 
