@@ -154,7 +154,7 @@ def _cmd_drift_check(args):
 
 def _cmd_sweep(args):
     sections, target, base = _load(args)
-    plan = plan_from_config(sections, base)
+    plan = plan_from_config(sections, target, base)
     summary = run_experiment(plan, args.out, workers=args.workers)
     write_resolved_ini(os.path.join(args.out, "resolved.ini"), target, base, plan=plan)
     return {

@@ -113,8 +113,8 @@ def read_ini(path):
     return {name: _read_section(cp, name, keys) for name, keys in _SECTIONS.items()}
 
 
-def target_options_from_config(sections):
-    """Assemble the build_target options dict from parsed sections."""
+def target_from_config(sections):
+    """Build the target of [target], with its [target.regularity] declaration."""
     opts = dict(sections.get("target", {}))
     if "kind" not in opts:
         raise ConfigError("config has no [target] section with a kind")
@@ -123,11 +123,7 @@ def target_options_from_config(sections):
         if "gamma" not in reg or "xi" not in reg:
             raise ConfigError("[target.regularity] needs both gamma and xi")
         opts["regularity"] = reg
-    return opts
-
-
-def target_from_config(sections):
-    return build_target(target_options_from_config(sections))
+    return build_target(opts)
 
 
 def sampler_from_config(sections, overrides=None):
@@ -162,15 +158,13 @@ def ula_from_config(sections):
     return {key: ula[key] for key in _ULA_KEYS}
 
 
-def plan_from_config(sections, base):
-    """Build an ExperimentPlan from [plan] around a base SamplerConfig."""
+def plan_from_config(sections, target, base):
+    """Build an ExperimentPlan from [plan] around a built target and a base SamplerConfig."""
     plan = {**_PLAN_DEFAULTS, **sections.get("plan", {})}
     if "axis" not in plan or "values" not in plan:
         raise ConfigError("sweep needs [plan] with axis and values")
     try:
-        return ExperimentPlan(
-            target_options=target_options_from_config(sections), base=base, **plan
-        )
+        return ExperimentPlan(target=target, base=base, **plan)
     except ValueError as exc:
         raise ConfigError(f"[plan]: {exc}") from None
 

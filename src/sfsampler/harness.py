@@ -24,7 +24,7 @@ from .batches import config_digest, rate_table_csv, save_batch, write_json
 from .metrics import ASSIGNMENT_MAX_POINTS, W2_METRICS, fit_rate, w2_noise_floor, w2_score
 from .errors import UnsupportedTargetError, check_int, check_real
 from .sampler import EpsSchedule, SamplerConfig, _run_evaluator, sfs_run, ula_run
-from .targets import build_target, sample_ground_truth
+from .targets import TargetSpec, describe, sample_ground_truth
 
 SWEEP_AXES = ("steps", "particles", "mc_size", "eps")
 
@@ -35,16 +35,16 @@ class ExperimentPlan:
 
     Attributes:
         name: label for the output artifacts.
-        target_options: plain dict accepted by targets.build_target.
+        target: the built TargetSpec; plan.json holds its batch-record description.
         base: SamplerConfig shared by all cells; its seed is the sweep root.
         axis: one of "steps", "particles", "mc_size", "eps".
-        values: at least three axis values.
+        values: at least three axis values, kept as floats.
         replications: independent runs per cell, at least three.
         metric: "w2_1d", "sliced", or "assignment" (metrics.W2_METRICS).
     """
 
     name: str
-    target_options: dict
+    target: TargetSpec
     base: SamplerConfig
     axis: str
     values: tuple
@@ -53,15 +53,16 @@ class ExperimentPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "replications", check_int("replications", self.replications, 3))
-        object.__setattr__(self, "values", tuple(self.values))
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        if len(self.values) < 3:
-            raise ValueError(f"a sweep needs at least 3 axis values, got {len(self.values)}")
-        # A count axis takes whole values only; one below 1 fails its own cell.
-        values = [check_real(f"{self.axis} value", value) for value in self.values]
+        # Floats, as a run file gives them, so equal values give one plan.json. A
+        # count axis takes whole values only; one below 1 fails its own cell.
+        values = tuple(check_real(f"{self.axis} value", value) for value in self.values)
+        object.__setattr__(self, "values", values)
+        if len(values) < 3:
+            raise ValueError(f"a sweep needs at least 3 axis values, got {len(values)}")
         if len(set(values)) < len(values):
-            raise ValueError(f"{self.axis} values must differ, got {self.values!r}")
+            raise ValueError(f"{self.axis} values must differ, got {values!r}")
         for value in values:
             if not value.is_integer() and self.axis != "eps":
                 raise ValueError(f"{self.axis} values must be whole numbers, got {value!r}")
@@ -70,9 +71,8 @@ class ExperimentPlan:
 
     def describe(self):
         """The plan as plan.json holds it."""
-        desc = dataclasses.asdict(self)
-        desc["target"] = desc.pop("target_options")
-        return desc
+        desc = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+        return {**desc, "base": dataclasses.asdict(self.base), "target": describe(self.target)}
 
 
 def _cell_config(base, axis, value):
@@ -91,7 +91,7 @@ def run_experiment(plan, out_dir, workers=1):
         axis value; successful cells carry mean W2, its standard error
         over replications, and the cell's ground-truth noise floor.
     """
-    target = build_target(plan.target_options)
+    target = plan.target
     if target.sampler is None:
         raise UnsupportedTargetError(
             f"a sweep scores against ground truth; target {target.name!r} has no sampler")

@@ -100,7 +100,9 @@ class EpsSchedule:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Static description of one diffusion run; its ``asdict`` form is what the digest covers.
+    """The request for one diffusion run, which ``resolved.ini`` writes back.
+
+    ``sfs_run`` records the drift, m and eps it resolves to, not the request.
 
     Attributes:
         steps: number K of Euler steps.
@@ -175,8 +177,8 @@ def sfs_run(config, target, *, workers=1, record_trajectory=False):
             any step.
 
     Returns:
-        SampleBatch with (n, dim) terminal states, the resolved config,
-        and its digest.
+        SampleBatch with (n, dim) terminal states, the resolved record (its
+        ``sfs`` block: drift, m, eps, particles, seed, steps), and its digest.
 
     Raises:
         UnsupportedTargetError, ValueError: the drift or the eps floor
@@ -188,8 +190,8 @@ def sfs_run(config, target, *, workers=1, record_trajectory=False):
     ev, eps = _run_evaluator(config, target, workers)
 
     n, p, k_steps = config.particles, target.dim, config.steps
-    resolved = _record(target, algorithm="sfs", drift_resolved=ev.mode, eps_resolved=eps,
-                       sampler=dataclasses.asdict(config))
+    resolved = _record(target, algorithm="sfs", sfs={"drift": ev.mode, "eps": eps, "m": ev.m,
+                       "particles": n, "seed": config.seed, "steps": k_steps})
 
     trajectories = None
     if record_trajectory:

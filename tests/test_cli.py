@@ -100,7 +100,7 @@ def test_sample_cli_overrides_change_the_run(tmp_path, capsys):
     assert payload["n"] == 32
     batch = load_batch(os.path.join(out, "samples.csv"))
     assert batch.seed == 21
-    assert batch.config["drift_resolved"] == "exact"
+    assert batch.config["sfs"]["drift"] == "exact"
 
 
 def test_every_run_flag_reaches_the_run(tmp_path, capsys):
@@ -109,10 +109,10 @@ def test_every_run_flag_reaches_the_run(tmp_path, capsys):
     assert main(["sample", "--config", cfg, "--out", out, "--seed", "3", "--steps", "5",
                  "--particles", "6", "--drift", "mc-stein", "--mc-size", "9",
                  "--eps-rule", "fixed:0.25", "--trajectory"]) == 0
-    assert load_batch(os.path.join(out, "samples.csv")).config["sampler"] == {
+    assert load_batch(os.path.join(out, "samples.csv")).config["sfs"] == {
         "drift": "mc-stein",
-        "eps": {"rule": "fixed", "value": 0.25},
-        "mc_size": 9,
+        "eps": 0.25,
+        "m": 9,
         "particles": 6,
         "seed": 3,
         "steps": 5,
@@ -120,6 +120,53 @@ def test_every_run_flag_reaches_the_run(tmp_path, capsys):
     with open(os.path.join(out, "resolved.ini")) as fh:
         assert "[run]\nseed = 3\nsteps = 5\nparticles = 6\ndrift = mc-stein\nmc_size = 9\n" \
             "eps_rule = fixed:0.25\n" in fh.read()
+
+
+def _sample_outputs(out):
+    """The bytes of samples.csv and the samples.json payload with ``wallclock`` masked."""
+    with open(os.path.join(out, "samples.csv"), "rb") as fh:
+        rows = fh.read()
+    with open(os.path.join(out, "samples.json")) as fh:
+        return rows, {**json.load(fh), "wallclock": None}
+
+
+def test_requests_that_resolve_alike_write_one_record(tmp_path):
+    # On a mixture "auto" is the closed form, which reads no m: the record names
+    # the run, not the request, so all four requests write the same files.
+    cfg = _write(tmp_path, GOOD.replace("drift = mc-grad\nmc_size = 8\n", ""))
+    outputs = []
+    for i, flags in enumerate(([], ["--drift", "exact"], ["--drift", "exact", "--mc-size", "64"],
+                               ["--mc-size", "7"])):
+        out = os.path.join(tmp_path, f"exact-{i}")
+        assert main(["sample", "--config", cfg, "--out", out] + flags) == 0
+        outputs.append(_sample_outputs(out))
+    assert all(output == outputs[0] for output in outputs)
+    assert outputs[0][1]["config"]["sfs"]["drift"] == "exact"
+    assert outputs[0][1]["config"]["sfs"]["m"] is None
+    # A Monte-Carlo run reads its m, so m = 8 and m = 9 are two runs.
+    runs = []
+    for m in ("8", "9"):
+        out = os.path.join(tmp_path, f"mc-{m}")
+        assert main(["sample", "--config", cfg, "--out", out, "--drift", "mc-grad",
+                     "--mc-size", m]) == 0
+        runs.append(_sample_outputs(out))
+    assert runs[0][0] != runs[1][0]
+    assert runs[0][1]["config_digest"] != runs[1][1]["config_digest"]
+
+
+def test_target_options_that_build_one_target_write_one_plan_json(tmp_path):
+    text = "[target]\nkind = standard\n{}\n[run]\nseed = 7\nsteps = 4\nparticles = 32\n\n" \
+        "[plan]\naxis = steps\nvalues = 2 4 8\n"
+    files = {}
+    for name, extra in (("plain", ""), ("dim", "dim = 1\n")):
+        out = os.path.join(tmp_path, name)
+        assert main(["sweep", "--config", _write(tmp_path, text.format(extra), name + ".ini"),
+                     "--out", out]) == 0
+        for artifact in ("plan.json", "cells.csv"):
+            with open(os.path.join(out, artifact), "rb") as fh:
+                files.setdefault(artifact, []).append(fh.read())
+    for artifact, (plain, dim) in files.items():
+        assert plain == dim, artifact
 
 
 def test_sample_trajectory_flag(tmp_path, capsys):
@@ -140,11 +187,9 @@ def test_a_recorded_path_changes_no_byte_of_the_run(tmp_path, capsys):
         out = os.path.join(tmp_path, "path" if flag else "plain")
         assert main(["sample", "--config", cfg, "--out", out, "--particles", "24"] + flag) == 0
         capsys.readouterr()
-        for name in ("samples.csv", "resolved.ini"):
-            with open(os.path.join(out, name), "rb") as fh:
-                files.setdefault(name, []).append(fh.read())
-        with open(os.path.join(out, "samples.json")) as fh:
-            files.setdefault("samples.json", []).append({**json.load(fh), "wallclock": None})
+        with open(os.path.join(out, "resolved.ini"), "rb") as fh:
+            files.setdefault("resolved.ini", []).append(fh.read())
+        files.setdefault("samples", []).append(_sample_outputs(out))
     for name, (plain, path) in files.items():
         assert plain == path, name
     assert not os.path.exists(os.path.join(tmp_path, "plain", "trajectories.npy"))

@@ -28,6 +28,7 @@ from sfsampler import (
     w2_noise_floor,
 )
 from sfsampler import rng as _rng
+from sfsampler.targets import describe
 
 MIX = gaussian_mixture_target([0.5, 0.5], [[2.0], [-2.0]])
 MIX_OPTIONS = {"kind": "mixture", "weights": [0.5, 0.5], "means": [[2.0], [-2.0]]}
@@ -36,7 +37,7 @@ MIX_OPTIONS = {"kind": "mixture", "weights": [0.5, 0.5], "means": [[2.0], [-2.0]
 def _tiny_plan(**kwargs):
     base = dict(
         name="steps-sweep",
-        target_options=MIX_OPTIONS,
+        target=MIX,
         base=SamplerConfig(steps=4, particles=64, seed=909),
         axis="steps",
         values=(4, 8, 16),
@@ -62,7 +63,7 @@ def test_plan_validation():
     plan = _tiny_plan(replications=np.int64(4))
     assert plan.replications == 4 and type(plan.replications) is int
     # Count axes take whole values only, floats such as 8.0 included; the
-    # values are kept as given, for plan.json and cells.csv.
+    # values are stored as floats, as a run file gives them (see below).
     for axis in ("steps", "particles", "mc_size"):
         with pytest.raises(ValueError, match="whole"):
             _tiny_plan(axis=axis, values=(4.5, 8, 16))
@@ -75,6 +76,31 @@ def test_plan_validation():
                          ("eps", (0.5, 0.25, 0.5))):
         with pytest.raises(ValueError, match=f"{axis} values must differ"):
             _tiny_plan(axis=axis, values=values)
+
+
+def test_axis_values_of_any_number_type_give_one_plan_json(tmp_path):
+    files = {}
+    for kind, values in (("numpy", np.array([4, 8, 16])), ("int", (4, 8, 16)),
+                         ("float", (4.0, 8.0, 16.0))):
+        plan = _tiny_plan(values=values)
+        assert plan.values == (4.0, 8.0, 16.0)
+        assert all(type(value) is float for value in plan.values)
+        run_experiment(plan, os.path.join(tmp_path, kind))
+        for name in ("plan.json", "cells.csv"):
+            with open(os.path.join(tmp_path, kind, name), "rb") as fh:
+                files.setdefault(name, set()).add(fh.read())
+    assert {name: len(texts) for name, texts in files.items()} == {"plan.json": 1, "cells.csv": 1}
+
+
+def test_a_plan_holds_its_built_target(tmp_path):
+    # Options with a numpy count build a target whose params are plain, and
+    # plan.json describes that target as every batch record does.
+    target = build_target({"kind": "standard", "dim": np.int64(1)})
+    out = os.path.join(tmp_path, "sweep")
+    summary = run_experiment(_tiny_plan(target=target), out)
+    assert summary["failures"] == {}
+    with open(os.path.join(out, "plan.json")) as fh:
+        assert json.load(fh)["plan"]["target"] == describe(build_target({"kind": "standard"}))
 
 
 def test_run_experiment_checks_workers_before_writing(tmp_path):
@@ -122,9 +148,9 @@ def test_rerun_is_byte_identical(tmp_path):
     ("sliced", {"kind": "mixture", "weights": [0.3, 0.7], "means": [[1.0, -2.0], [-1.5, 0.5]]}),
 ])
 def test_each_cell_noise_floor_is_one_pair_of_w2_noise_floor(tmp_path, metric, options):
-    plan = _tiny_plan(target_options=options, metric=metric)
-    summary = run_experiment(plan, os.path.join(tmp_path, "sweep"))
     target = build_target(options)
+    plan = _tiny_plan(target=target, metric=metric)
+    summary = run_experiment(plan, os.path.join(tmp_path, "sweep"))
     for ci, cell in enumerate(summary["cells"]):
         # Replication r runs on child seed 2r and scores on 2r + 1; the last is the floor's.
         seed = _rng.child_seeds(plan.base.seed, ci, 2 * plan.replications + 1)[-1]
@@ -137,7 +163,7 @@ def test_a_sweep_keeps_the_run_scores_it_had_with_its_own_floor_draws(tmp_path):
     # scores on 2r + 1 whatever the floor takes. On one Gaussian the closed-form
     # drift is the constant mean, so a run is x_K = sum_k (h * 1.5 + sqrt(h) xi_k)
     # with no exp, and the values pin exactly.
-    plan = _tiny_plan(target_options={"kind": "gaussian", "mean": [1.5]}, values=(2, 4, 8))
+    plan = _tiny_plan(target=build_target({"kind": "gaussian", "mean": [1.5]}), values=(2, 4, 8))
     cells = run_experiment(plan, os.path.join(tmp_path, "sweep"))["cells"]
     assert [(c["w2_mean"], c["w2_se"]) for c in cells] == [
         (0.2599439873585126, 0.044491092963175945),
@@ -149,15 +175,15 @@ def test_a_sweep_keeps_the_run_scores_it_had_with_its_own_floor_draws(tmp_path):
 def test_failed_cells_are_isolated(tmp_path):
     plan = _tiny_plan(values=(0, 8, 16))
     summary = run_experiment(plan, os.path.join(tmp_path, "sweep"))
-    assert list(summary["failures"]) == ["0"]
-    assert "ValueError" in summary["failures"]["0"]
+    assert list(summary["failures"]) == ["0.0"]  # keyed by the float value, as from a run file
+    assert "ValueError" in summary["failures"]["0.0"]
     assert len(summary["cells"]) == 2
     assert summary["fit"] is None
 
 
 def _eps_plan(values):
     base = SamplerConfig(steps=3, particles=48, seed=21, drift="mc-grad", mc_size=32)
-    return _tiny_plan(name="eps-sweep", target_options={"kind": "bump", "radius": 3.0},
+    return _tiny_plan(name="eps-sweep", target=build_target({"kind": "bump", "radius": 3.0}),
                       base=base, axis="eps", values=values)
 
 
@@ -253,17 +279,17 @@ def test_assignment_particles_sweep_runs_the_cells_within_its_limit(tmp_path):
                       base=SamplerConfig(steps=2, particles=1000, seed=3))
     summary = run_experiment(plan, os.path.join(tmp_path, "sweep"))
     assert [c["value"] for c in summary["cells"]] == [16, 512]
-    assert list(summary["failures"]) == ["513"]
-    assert "limited to 512 points, got 513" in summary["failures"]["513"]
+    assert list(summary["failures"]) == ["513.0"]
+    assert "limited to 512 points, got 513" in summary["failures"]["513.0"]
 
 
 def test_sliced_metric_on_a_2d_target(tmp_path):
     plan = _tiny_plan(
-        target_options={
+        target=build_target({
             "kind": "mixture",
             "weights": [0.5, 0.5],
             "means": [[2.0, 0.0], [-2.0, 0.0]],
-        },
+        }),
         metric="sliced",
         values=(2, 4, 8),
     )
@@ -273,11 +299,11 @@ def test_sliced_metric_on_a_2d_target(tmp_path):
 
 def test_w2_1d_metric_rejects_multidim_targets(tmp_path):
     plan = _tiny_plan(
-        target_options={
+        target=build_target({
             "kind": "mixture",
             "weights": [0.5, 0.5],
             "means": [[2.0, 0.0], [-2.0, 0.0]],
-        }
+        })
     )
     with pytest.raises(ValueError):
         run_experiment(plan, os.path.join(tmp_path, "sweep"))
@@ -414,6 +440,6 @@ def test_assignment_cell_over_its_limit_fails_before_any_run(tmp_path):
                       base=SamplerConfig(steps=2, particles=1000, seed=3))
     with mock.patch.object(harness, "sfs_run", wraps=harness.sfs_run) as run:
         summary = run_experiment(plan, os.path.join(tmp_path, "sweep"))
-    assert list(summary["failures"]) == ["513"]
-    assert "limited to 512 points, got 513" in summary["failures"]["513"]
+    assert list(summary["failures"]) == ["513.0"]
+    assert "limited to 512 points, got 513" in summary["failures"]["513.0"]
     assert run.call_count == 2 * plan.replications

@@ -18,6 +18,7 @@ from sfsampler import (
     ConfigError,
     DriftEvaluator,
     EpsSchedule,
+    ExperimentPlan,
     NonFiniteStateError,
     SamplerConfig,
     TargetSpec,
@@ -30,6 +31,7 @@ from sfsampler import (
     quartic_bump,
     regularize,
     rng,
+    run_experiment,
     sample_ground_truth,
     save_batch,
     sfs_run,
@@ -99,8 +101,8 @@ def test_eps_resolution_lands_in_config():
         eps=EpsSchedule(rule="power"),
     )
     batch = sfs_run(cfg, quartic_bump(3.0))
-    assert batch.config["eps_resolved"] == pytest.approx(100.0**-0.2)
-    assert batch.config["drift_resolved"] == "mc-grad"
+    assert batch.config["sfs"]["eps"] == pytest.approx(100.0**-0.2)
+    assert batch.config["sfs"]["drift"] == "mc-grad"
     assert np.isfinite(batch.samples).all()
 
 
@@ -376,11 +378,20 @@ def test_batch_records_keep_their_golden_digests():
     cfg = SamplerConfig(steps=4, particles=8, seed=11, drift="mc-grad", mc_size=16,
                         eps=EpsSchedule(rule="fixed", value=0.1))
     assert sfs_run(cfg, MIX2).config_digest == (
-        "43d18b119e336aef8bf7bc7be16bb611bdef52aaf4af54fa0308f61163b8f902")
+        "58f938a0b7faa7583ac06a07e905b6229b513b3afc26eccf05906057acf6b976")
     assert ula_run(MIX2, 8, 12, 5, 0.05, 3).config_digest == (
         "fe2c1185087f5e4282b8bd0f75fbadd3fa050112c58b532a5a355bf03b049fcc")
     assert sample_ground_truth(quartic_bump(3.0), 8, 13).config_digest == (
         "7475a5c6198268bae22d9cd56131efb7730728039fc165540867ee67d26002ae")
+
+
+def test_a_plan_keeps_its_golden_digest(tmp_path):
+    cfg = SamplerConfig(steps=4, particles=8, seed=11, drift="mc-grad", mc_size=16)
+    plan = ExperimentPlan(name="golden", target=MIX2, base=cfg, axis="steps", values=(2, 4, 8),
+                          metric="sliced")
+    summary = run_experiment(plan, os.path.join(tmp_path, "sweep"))
+    assert summary["plan_digest"] == config_digest(plan.describe()) == (
+        "0ff4791463849a0c3eb5454fbbde9f6f8cf0c2e50a7b0249a41578e32be7bdd8")
 
 
 def test_ground_truth_and_run_share_nothing_but_the_seed_policy():
