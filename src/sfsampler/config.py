@@ -33,17 +33,10 @@ RUN_KEYS = {
     "eps_rule": "str",
 }
 _ULA_KEYS = {"step_size": "float", "burn_in": "int"}
-_PLAN_KEYS = {
-    "name": "str",
-    "axis": "str",
-    "values": "floats",
-    "replications": "int",
-    "metric": "str",
-}
-# Values for keys a section leaves out whose field has no default of its
-# own; eps_rule is the text that parses to SamplerConfig.eps.
+_PLAN_KEYS = {"axis": "str", "values": "floats", "replications": "int", "metric": "str"}
+# Values for keys [run] leaves out whose field has no default of its own;
+# eps_rule is the text that parses to SamplerConfig.eps.
 _RUN_DEFAULTS = {"steps": 100, "particles": 1000, "eps_rule": "none"}
-_PLAN_DEFAULTS = {"name": "sweep"}
 _SECTIONS = {
     "target": _TARGET_KEYS,
     "target.regularity": _REG_KEYS,
@@ -160,7 +153,7 @@ def ula_from_config(sections):
 
 def plan_from_config(sections, target, base):
     """Build an ExperimentPlan from [plan] around a built target and a base SamplerConfig."""
-    plan = {**_PLAN_DEFAULTS, **sections.get("plan", {})}
+    plan = sections.get("plan", {})
     if "axis" not in plan or "values" not in plan:
         raise ConfigError("sweep needs [plan] with axis and values")
     try:

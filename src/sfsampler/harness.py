@@ -4,8 +4,8 @@ A plan fixes a target, a base sampler config, one swept axis, and a
 replication count. Each cell runs its replications with child seeds
 derived from the root seed, scores every run against fresh ground truth,
 and the harness writes three artifacts under the output directory:
-plan.json (the plan itself), cells.csv (one scored row per cell, stable
-byte-for-byte across reruns), and summary.json (fit, failures, timing).
+plan.json (the work its cells run), cells.csv (one scored row per cell,
+stable byte-for-byte across reruns), and summary.json (fit, failures, timing).
 Cell failures are isolated: one bad cell is recorded and skipped, the
 sweep continues.
 """
@@ -21,6 +21,7 @@ import numpy as np
 
 from . import rng as _rng
 from .batches import config_digest, rate_table_csv, save_batch, write_json
+from .drift import default_drift_mode
 from .metrics import ASSIGNMENT_MAX_POINTS, W2_METRICS, fit_rate, w2_noise_floor, w2_score
 from .errors import UnsupportedTargetError, check_int, check_real
 from .sampler import EpsSchedule, SamplerConfig, _run_evaluator, sfs_run, ula_run
@@ -34,16 +35,14 @@ class ExperimentPlan:
     """A sweep: one axis varied over at least three values.
 
     Attributes:
-        name: label for the output artifacts.
         target: the built TargetSpec; plan.json holds its batch-record description.
-        base: SamplerConfig shared by all cells; its seed is the sweep root.
-        axis: one of "steps", "particles", "mc_size", "eps".
+        base: the SamplerConfig request all cells share; its seed is the sweep root.
+        axis: the swept SamplerConfig field: "steps", "particles", "mc_size" or "eps".
         values: at least three axis values, kept as floats.
         replications: independent runs per cell, at least three.
         metric: "w2_1d", "sliced", or "assignment" (metrics.W2_METRICS).
     """
 
-    name: str
     target: TargetSpec
     base: SamplerConfig
     axis: str
@@ -70,15 +69,23 @@ class ExperimentPlan:
             raise ValueError(f"metric must be one of {W2_METRICS}, got {self.metric!r}")
 
     def describe(self):
-        """The plan as plan.json holds it."""
+        """The plan as plan.json holds it: the base as its cells run it.
+
+        The drift is what "auto" resolves to, m is None for the closed form, the
+        eps rule stays as given (each cell binds it), and the swept setting is
+        left out, so requests that run alike give one plan.
+        """
         desc = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
-        return {**desc, "base": dataclasses.asdict(self.base), "target": describe(self.target)}
+        base = dataclasses.asdict(self.base)
+        drift = default_drift_mode(self.target) if self.base.drift == "auto" else self.base.drift
+        base.update(drift=drift, mc_size=None if drift == "exact" else self.base.mc_size)
+        del base[self.axis]
+        return {**desc, "base": base, "target": describe(self.target)}
 
 
 def _cell_config(base, axis, value):
-    if axis == "eps":
-        return dataclasses.replace(base, eps=EpsSchedule(rule="fixed", value=float(value)))
-    return dataclasses.replace(base, **{axis: int(value)})  # the count axes are field names
+    value = EpsSchedule(rule="fixed", value=value) if axis == "eps" else int(value)
+    return dataclasses.replace(base, **{axis: value})  # every axis is a SamplerConfig field
 
 
 def run_experiment(plan, out_dir, workers=1):
@@ -161,7 +168,6 @@ def run_experiment(plan, out_dir, workers=1):
         "cells": cells,
         "failures": failures,
         "fit": fit,
-        "name": plan.name,
         "plan_digest": plan_digest,
         "wallclock": time.perf_counter() - start,
     }

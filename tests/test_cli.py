@@ -245,6 +245,18 @@ def test_a_run_file_cannot_ask_for_a_path(tmp_path, capsys, command):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["sample", "sweep"])
+def test_a_run_file_cannot_name_a_plan(tmp_path, capsys, command):
+    cfg = _write(tmp_path, GOOD.replace("[plan]\n", "[plan]\nname = x\n"))
+    out = os.path.join(tmp_path, "o")
+    with mock.patch.object(harness, "sfs_run", side_effect=AssertionError("sampler ran")) as run:
+        assert main([command, "--config", cfg, "--out", out]) == 2
+    assert not run.called
+    assert _json_out(capsys) == {"error": "ConfigError", "exit": 2,
+                                 "message": "unknown key 'name' in section [plan]"}
+    assert not os.path.exists(out)
+
+
 def test_missing_config_file_is_exit_2(tmp_path, capsys):
     assert main(["sample", "--config", os.path.join(tmp_path, "nope.ini"),
                  "--out", os.path.join(tmp_path, "o")]) == 2

@@ -153,7 +153,6 @@ step_size = 0.05
 burn_in = 100
 
 [plan]
-name = golden
 axis = eps
 values = 0.1 0.2 0.3333333333333333
 replications = 4
@@ -188,8 +187,8 @@ def test_resolved_ini_bytes_are_pinned(tmp_path):
         eps=EpsSchedule(rule="fixed", value=0.1 + 0.2),
     )
     plan = ExperimentPlan(
-        name="golden", target=target, base=config, axis="eps",
-        values=(0.1, 0.2, 1 / 3), replications=4, metric="sliced",
+        target=target, base=config, axis="eps", values=(0.1, 0.2, 1 / 3), replications=4,
+        metric="sliced",
     )
     ula = {"step_size": 0.05, "burn_in": 100}
     path = os.path.join(tmp_path, "full", "resolved.ini")
@@ -239,7 +238,6 @@ def _run_files(draw):
     axis = draw(st.sampled_from(SWEEP_AXES))
     value = _AWKWARD if axis == "eps" else st.integers(-10**6, 10**6).map(float)
     plan = ExperimentPlan(
-        name=draw(st.from_regex(r"[A-Za-z0-9_.-]{1,12}", fullmatch=True)),
         target=ROUND_TRIP_TARGET,
         base=config,
         axis=axis,

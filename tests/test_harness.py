@@ -28,6 +28,8 @@ from sfsampler import (
     w2_noise_floor,
 )
 from sfsampler import rng as _rng
+from sfsampler.batches import config_digest
+from sfsampler.harness import SWEEP_AXES
 from sfsampler.targets import describe
 
 MIX = gaussian_mixture_target([0.5, 0.5], [[2.0], [-2.0]])
@@ -36,7 +38,6 @@ MIX_OPTIONS = {"kind": "mixture", "weights": [0.5, 0.5], "means": [[2.0], [-2.0]
 
 def _tiny_plan(**kwargs):
     base = dict(
-        name="steps-sweep",
         target=MIX,
         base=SamplerConfig(steps=4, particles=64, seed=909),
         axis="steps",
@@ -143,6 +144,84 @@ def test_rerun_is_byte_identical(tmp_path):
             assert fa.read() == fb.read(), name
 
 
+# Requests that run the same cells on the 1-D mixture, by axis: "auto" is the
+# closed form there, which reads no m, and each cell replaces the swept setting.
+AXIS_VALUES = {"steps": (2, 4, 8), "particles": (16, 24, 32), "mc_size": (2, 4, 8),
+               "eps": (0.2, 0.4, 0.6)}
+MC = {"drift": "mc-grad", "mc_size": 8}
+SAME_WORK = {
+    "drift": ("steps", [{}, {"drift": "exact"}, {"drift": "exact", "mc_size": 64}]),
+    "steps": ("steps", [{}, {"steps": 100}]),
+    "particles": ("particles", [{}, {"particles": 1000}]),
+    "mc_size": ("mc_size", [MC, {**MC, "mc_size": 16}]),
+    "eps": ("eps", [MC, {**MC, "eps": EpsSchedule("fixed", 0.3)}]),
+}
+
+
+def _plan_of(axis, **request):
+    base = SamplerConfig(**{"steps": 4, "particles": 32, "seed": 7, **request})
+    return _tiny_plan(axis=axis, values=AXIS_VALUES[axis], base=base)
+
+
+@pytest.mark.parametrize("axis, requests", list(SAME_WORK.values()), ids=list(SAME_WORK))
+def test_requests_that_run_the_same_cells_write_one_plan(tmp_path, axis, requests):
+    files, digests = {}, set()
+    for i, request in enumerate(requests):
+        out = os.path.join(tmp_path, str(i))
+        digests.add(run_experiment(_plan_of(axis, **request), out)["plan_digest"])
+        for name in ("plan.json", "cells.csv"):
+            with open(os.path.join(out, name), "rb") as fh:
+                files.setdefault(name, set()).add(fh.read())
+    assert len(digests) == 1
+    assert {name: len(texts) for name, texts in files.items()} == {"plan.json": 1, "cells.csv": 1}
+
+
+def test_plan_json_holds_the_base_its_cells_run(tmp_path):
+    out = os.path.join(tmp_path, "sweep")
+    summary = run_experiment(_plan_of("steps", mc_size=64), out)
+    with open(os.path.join(out, "plan.json")) as fh:
+        base = json.load(fh)["plan"]["base"]
+    assert base == {"drift": "exact", "eps": {"rule": "none", "value": None}, "mc_size": None,
+                    "particles": 32, "seed": 7}
+    assert sorted(summary) == ["axis", "cells", "failures", "fit", "plan_digest", "wallclock"]
+    # An m-driven rule stays the rule: on an mc_size axis each cell binds it to its own m.
+    base = _plan_of("mc_size", drift="mc-grad", eps=EpsSchedule("log")).describe()["base"]
+    assert base == {"drift": "mc-grad", "eps": {"rule": "log", "value": None}, "particles": 32,
+                    "seed": 7, "steps": 4}
+
+
+_SWEPT = {
+    "steps": st.integers(1, 10**9),
+    "particles": st.integers(1, 10**9),
+    "mc_size": st.integers(1, 10**9),
+    "eps": st.sampled_from(["none", "log", "power"]).map(EpsSchedule)
+    | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
+        lambda value: EpsSchedule("fixed", value)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SWEEP_AXES), st.data())
+def test_a_plan_does_not_see_requests_its_cells_do_not_run(axis, data):
+    reference = MC if axis == "mc_size" else {"drift": "exact"}
+    request = {**reference, axis: data.draw(_SWEPT[axis])}
+    if axis != "mc_size":
+        request["drift"] = data.draw(st.sampled_from(["auto", "exact"]))
+        request["mc_size"] = data.draw(st.none() | st.integers(1, 10**9))
+    assert _plan_of(axis, **request).describe() == _plan_of(axis, **reference).describe()
+
+
+@pytest.mark.parametrize("first, second", [
+    ({"mc_size": 8}, {"mc_size": 9}),
+    ({"eps": EpsSchedule("fixed", 0.2)}, {"eps": EpsSchedule("fixed", 0.3)}),
+    ({"seed": 7}, {"seed": 8}),
+], ids=["mc_size", "eps", "seed"])
+def test_plans_of_different_work_keep_different_digests(first, second):
+    digests = {config_digest(_plan_of("steps", **{**MC, **request}).describe())
+               for request in (first, second)}
+    assert len(digests) == 2
+
+
 @pytest.mark.parametrize("metric, options", [
     ("w2_1d", MIX_OPTIONS),
     ("sliced", {"kind": "mixture", "weights": [0.3, 0.7], "means": [[1.0, -2.0], [-1.5, 0.5]]}),
@@ -183,8 +262,8 @@ def test_failed_cells_are_isolated(tmp_path):
 
 def _eps_plan(values):
     base = SamplerConfig(steps=3, particles=48, seed=21, drift="mc-grad", mc_size=32)
-    return _tiny_plan(name="eps-sweep", target=build_target({"kind": "bump", "radius": 3.0}),
-                      base=base, axis="eps", values=values)
+    return _tiny_plan(target=build_target({"kind": "bump", "radius": 3.0}), base=base,
+                      axis="eps", values=values)
 
 
 def test_eps_sweep_runs_each_cell_on_its_own_fixed_floor(tmp_path):

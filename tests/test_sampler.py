@@ -387,11 +387,10 @@ def test_batch_records_keep_their_golden_digests():
 
 def test_a_plan_keeps_its_golden_digest(tmp_path):
     cfg = SamplerConfig(steps=4, particles=8, seed=11, drift="mc-grad", mc_size=16)
-    plan = ExperimentPlan(name="golden", target=MIX2, base=cfg, axis="steps", values=(2, 4, 8),
-                          metric="sliced")
+    plan = ExperimentPlan(target=MIX2, base=cfg, axis="steps", values=(2, 4, 8), metric="sliced")
     summary = run_experiment(plan, os.path.join(tmp_path, "sweep"))
     assert summary["plan_digest"] == config_digest(plan.describe()) == (
-        "0ff4791463849a0c3eb5454fbbde9f6f8cf0c2e50a7b0249a41578e32be7bdd8")
+        "8622fdb9ef0e50a5cf4a0c85a184133d058bde9fdceb1f9113ead2c5668b5aec")
 
 
 def test_ground_truth_and_run_share_nothing_but_the_seed_policy():
