@@ -599,9 +599,26 @@ def test_regularity_command_checks_declared_bounds(tmp_path, capsys):
     assert main(["regularity", "--config", cfg, "--out", out]) == 0
     payload = _json_out(capsys)
     assert payload["checks"]["b_sup_ok"] is True
-    assert payload["checks"]["c0_ok"] is True
+    assert payload["checks"]["b_sup_bound"] == 5961.916 / 0.13533
     assert payload["estimate"]["b_sup_hat"] < 2.0
     assert os.path.exists(os.path.join(out, "regularity.json"))
+
+
+def test_regularity_reports_a_violated_bound_and_only_the_b_sup_check(tmp_path, capsys):
+    # gamma / xi = 1.19 < 2 tanh(10), the grid sup of the +-2 mixture's drift:
+    # the declared constants are violated, which the report states and exit 0 keeps.
+    cfg = _write(
+        tmp_path,
+        "[target]\nkind = mixture\nweights = 0.5 0.5\nmeans = 2; -2\n\n"
+        "[target.regularity]\ngamma = 5961.916\nxi = 5000\n\n[run]\nseed = 1\n",
+    )
+    assert main(["regularity", "--config", cfg]) == 0
+    payload = _json_out(capsys)
+    assert set(payload["estimate"]) == {"b_sup_hat", "n_points"}
+    assert set(payload["checks"]) == {"b_sup_bound", "b_sup_ok"}
+    assert payload["checks"]["b_sup_bound"] < 2.0
+    assert payload["estimate"]["b_sup_hat"] > payload["checks"]["b_sup_bound"]
+    assert payload["checks"]["b_sup_ok"] is False
 
 
 BUMP = "[target]\nkind = bump\nradius = 3\n\n[run]\nseed = 1\n"
@@ -612,8 +629,8 @@ def test_regularity_on_a_floored_bump_runs_on_the_floored_target(tmp_path, capsy
     assert main(["regularity", "--config", cfg]) == 0
     payload = _json_out(capsys)
     assert payload["target"] == "bump+eps"
-    for key in ("c0_hat", "c1_hat", "b_sup_hat"):
-        assert np.isfinite(payload["estimate"][key]), key
+    assert np.isfinite(payload["estimate"]["b_sup_hat"])
+    assert payload["estimate"]["n_points"] == 25 * len(ProbeGrid.t_values)
 
 
 def test_regularity_on_a_bump_without_a_floor_is_exit_5_with_context(tmp_path, capsys):

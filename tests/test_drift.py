@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import mixture_f_derivatives, quadrature_drift_1d
+from oracles import mixture_f_derivatives, mixture_gamma_xi, quadrature_drift_1d
 from sfsampler import (
     DriftEvaluator,
     ProbeGrid,
@@ -577,20 +577,18 @@ def test_probe_points_shapes():
 
 def test_regularity_estimate_is_zero_on_flat_target():
     est = estimate_regularity(DriftEvaluator(standard_gaussian(1), "exact"))
-    assert est.c0_hat == 0.0
-    assert est.c1_hat == 0.0
     assert est.b_sup_hat == 0.0
+    assert est.n_points == 25 * len(ProbeGrid.t_values)
 
 
 def test_regularity_estimate_respects_analytic_bounds():
-    # b(x, t) = 2 tanh(2x) for the symmetric mixture: sup |b| < 2 and the
-    # slope never exceeds 4.
+    # b(x, t) = 2 tanh(2x) for the symmetric mixture: sup |b| < 2, reached
+    # at the box edge x = 5.
     est = estimate_regularity(DriftEvaluator(MIX, "exact"))
     # A Monte-Carlo evaluator on a mixture is probed through the closed form.
     assert estimate_regularity(DriftEvaluator(MIX, "mc-stein", m=4, seed=2)) == est
     assert est.b_sup_hat < 2.0
-    assert est.c1_hat <= 4.0 + 1e-9
-    assert est.c0_hat <= 4.0
+    assert est.b_sup_hat == pytest.approx(2.0 * math.tanh(10.0), rel=1e-12)
 
 
 def test_regularity_estimate_needs_an_evaluator_for_general_targets():
@@ -604,8 +602,43 @@ def test_regularity_estimate_needs_an_evaluator_for_general_targets():
     est = estimate_regularity(ev)
     b = [ev.batch(probe_points(grid, 1), t, k) for k, t in enumerate(grid.t_values)]
     assert est.b_sup_hat == float(np.sqrt(np.max(np.concatenate(b) ** 2)))
-    assert np.isfinite(est.c1_hat)
+    assert est.n_points == 25 * len(grid.t_values)
     assert est.b_sup_hat > 0.0
+
+
+@st.composite
+def small_mixtures_1d(draw):
+    # Weights of at least 0.1 that sum to one; means on a 1/64 lattice in
+    # [-3, 3], which keeps a nonzero sup |b| far above the range where
+    # b * b underflows, so sqrt(b * b) is |b| exactly.
+    k = draw(st.integers(2, 3))
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))) + 1e-3
+    weights = 0.1 + (1.0 - 0.1 * k) * raw / raw.sum()
+    means = [draw(st.integers(-192, 192)) / 64.0 for _ in range(k)]
+    return list(weights), means
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_mixtures_1d())
+def test_regularity_on_a_mixture_is_the_grid_max_of_the_closed_form_under_gamma_over_xi(case):
+    weights, means = case
+    target = gaussian_mixture_target(weights, [[m] for m in means])
+    est = estimate_regularity(DriftEvaluator(target, "exact"))
+    grid = ProbeGrid()
+    pts = probe_points(grid, 1)
+    b = np.concatenate([drift_exact(target, pts, t) for t in grid.t_values])
+    assert est.b_sup_hat == float(np.max(np.abs(b)))
+    # The lemma bound on sup |b| from the oracle's constants on [-5, 5]; its
+    # bounded minimizer refines the coarser scan.
+    gamma, xi = mixture_gamma_xi(weights, means, n_grid=2001)
+    assert est.b_sup_hat <= gamma / xi
+
+
+def test_regularity_on_a_floored_bump_is_the_same_for_every_worker_count():
+    floored = regularize(quartic_bump(3.0), 0.1)
+    est = [estimate_regularity(DriftEvaluator(floored, "mc-grad", m=64, seed=1, workers=w))
+           for w in (1, 3)]
+    assert est[0] == est[1]
 
 
 def test_regularity_probes_the_directions_of_the_evaluators_seed():
