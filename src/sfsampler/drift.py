@@ -21,14 +21,11 @@ the sum of u_j by rounding, so the drift comes back within a few ulps of c.
 The estimators run tile by tile, a few dozen particles at a time, in one
 loop for any worker count; a point call is its row 0. A span of tiles owns
 one ``_Workspace`` while it runs, and the probe draw and every pass write
-into it with ``out=``, so a tile allocates nothing of its probes' size. In
-mc-grad on a mixture whose callables are its own, the probes are built
-channel-major, as (p, particles * m), and the mixture's one softmax pass
-reads them as its transposed (particles * m, p) view without strided reads
-and writes log f and grad log f straight into the (p + 1, particles, m)
-channel buffer. Target callables still get C-order (particles * m, p)
-probes. Either way every value comes from the same operations in the same
-order, so the two layouts give the same bits.
+into it with ``out=``, so a tile allocates nothing of its probes' size. The
+probes are built channel-major, as (p, particles * m), and target callables
+get their transposed (particles * m, p) view, not a C-contiguous array. In
+mc-grad on a mixture whose callables are its own, one softmax pass reads
+that view and writes log f and grad log f into the channel buffer.
 
 For Gaussian mixtures the semigroup acts in closed form: smoothing only
 rescales each component's correction term, so the drift is the
@@ -194,11 +191,9 @@ class _Workspace:
 
     One thread at a time reuses them tile after tile, so the kernel allocates
     only arrays of one value or a few a particle; ``z`` holds the draws of up
-    to ``span`` particles. The probes are laid out channel-major, as
-    (p, rows * m), when the mixture's one softmax pass takes them, and
-    C-order, as (rows * m, p), when a target callable sees them. ``ext``
-    holds the (p + 1, particles, m) channels u * vec_j and u; the one pass
-    writes grad log f and log f straight into them.
+    to ``span`` particles, and ``probes`` the (p, rows * m) channel-major probes.
+    ``ext`` holds the (p + 1, particles, m) channels u * vec_j and u; the one
+    pass writes grad log f and log f straight into them.
     """
 
     def __init__(self, target, mode, rows, m, p, span=0):
@@ -240,10 +235,8 @@ def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset, w
     def at(i):
         return f"(particle {particle_offset + i}, step {step_index}, t = {t})"
 
-    # The probes as channels (p, n, m) over the workspace's layout; every
-    # elementwise pass runs along m, as an inner loop of length p is slow.
-    buf = ws.probes[:n * m * p]
-    chans = buf.reshape(p, n, m) if ws.fused else buf.reshape(n, m, p).transpose(2, 0, 1)
+    # The probes as channels (p, n, m): elementwise passes run along m, not p.
+    chans = ws.probes[:n * m * p].reshape(p, n, m)
     np.multiply(z.transpose(2, 0, 1), root, out=chans)
     for j in range(p):
         chans[j] += points[:, j, None]
@@ -385,4 +378,7 @@ def estimate_regularity(evaluator):
     pts = probe_points(grid, evaluator.target.dim, evaluator.seed)
     b = np.concatenate([evaluator.batch(pts, t, k) for k, t in enumerate(grid.t_values)])
     b_sup = float(np.sqrt(np.max(np.sum(b * b, axis=1))))
+    if b_sup < math.sqrt(np.finfo(float).tiny):  # b * b may underflow: scale by max |b| first
+        scale = float(np.max(np.abs(b))) or 1.0
+        b_sup = scale * float(np.sqrt(np.max(np.sum(np.square(b / scale), axis=1))))
     return RegularityEstimate(b_sup_hat=b_sup, n_points=b.shape[0])

@@ -260,10 +260,11 @@ class TargetSpec:
     """One sampling target: log density ratio, gradient, and metadata.
 
     ``log_f`` and ``grad_log_f`` are batch callables on (n, dim) arrays and
-    exclude ``log_scale``. The declared scale cancels in every drift ratio,
-    so keeping it out of the callables is what makes scale invariance exact
-    at the bit level rather than up to rounding; only ``regularize``, which
-    mixes absolute density values, folds it in.
+    exclude ``log_scale``; the Monte-Carlo drift passes them the transposed
+    view of a (dim, n) block, not a C-contiguous array. The declared scale
+    cancels in every drift ratio, so keeping it out of the callables is what
+    makes scale invariance exact at the bit level rather than up to rounding;
+    only ``regularize``, which mixes absolute density values, folds it in.
 
     Attributes:
         name: short human-readable label.

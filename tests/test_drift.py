@@ -425,14 +425,24 @@ def mixture_drift_cases(draw):
     pts=np.linspace(-4.0, 4.0, 21)[:, None], t=0.0, m=200, seed=9, workers=1, chunk_values=2000,
 ))
 def test_one_pass_mixture_drift_equals_the_two_call_drift_bit_for_bit(case):
-    # Plain lambdas are not the mixture's own methods, so they take the
-    # two-call path with user-target checks: C-order probes where the one
-    # pass reads them channel-major, and fresh outputs where it reuses the
-    # tile workspace. Small chunk sizes put tile edges inside every batch.
+    # Plain functions are not the mixture's own methods, so they take the
+    # two-call path with user-target checks and fresh outputs where the one
+    # pass reuses the tile workspace; both read the same channel-major
+    # probes. Small chunk sizes put tile edges inside every batch.
     target = case["target"]
     mix = target.mixture
-    wrapped = dataclasses.replace(
-        target, log_f=lambda x: mix.log_ratio(x), grad_log_f=lambda x: mix.grad_log_ratio(x))
+
+    def same_on_a_c_order_copy(method):
+        # The closed form, regularity and ULA pass C-order points: the
+        # mixture's bits must not depend on the layout it reads.
+        def call(x):
+            out = method(x)
+            assert np.array_equal(method(np.ascontiguousarray(x)), out)
+            return out
+        return call
+
+    wrapped = dataclasses.replace(target, log_f=same_on_a_c_order_copy(mix.log_ratio),
+                                  grad_log_f=same_on_a_c_order_copy(mix.grad_log_ratio))
 
     def drift(spec):
         ev = DriftEvaluator(spec, "mc-grad", m=case["m"], seed=case["seed"],
@@ -441,6 +451,34 @@ def test_one_pass_mixture_drift_equals_the_two_call_drift_bit_for_bit(case):
 
     with mock.patch.object(_drift, "_CHUNK_VALUES", case["chunk_values"]):
         assert np.array_equal(drift(target), drift(wrapped))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("mode", ["mc-grad", "mc-stein"])
+def test_target_callables_get_the_transposed_view_of_channel_major_probes(mode, workers):
+    # At most 3 particles a tile at m = 8, p = 3, so tiles end inside the
+    # batch of 10 at either worker count.
+    seen = []
+
+    def record(fn):
+        def call(x):
+            assert x.shape[1] == 3 and x.T.flags.c_contiguous and not x.flags.c_contiguous
+            seen.append(x.shape[0])
+            return fn(x)
+        return call
+
+    target = gaussian_potential([1.0, -0.5, 2.0])
+    recording = dataclasses.replace(target, log_f=record(target.log_f),
+                                    grad_log_f=record(target.grad_log_f))
+    ev = DriftEvaluator(recording, mode, m=8, seed=3, workers=workers)
+    pts = np.linspace(-2.0, 2.0, 30).reshape(10, 3)
+    with mock.patch.object(_drift, "_CHUNK_VALUES", 3 * 8 * 4):
+        got = ev.batch(pts, 0.5, 1)
+    calls = 2 if mode == "mc-grad" else 1  # log f, and grad log f in the gradient form
+    assert len(seen) >= 4 * calls and sum(seen) == 10 * 8 * calls and max(seen) <= 3 * 8
+    plain = DriftEvaluator(target, mode, m=8, seed=3, workers=workers)
+    with mock.patch.object(_drift, "_CHUNK_VALUES", 3 * 8 * 4):
+        assert np.array_equal(got, plain.batch(pts, 0.5, 1))
 
 
 def test_two_component_drift_takes_the_dominant_mean_silently_where_exp_overflows():
@@ -616,6 +654,18 @@ def small_mixtures_1d(draw):
     weights = 0.1 + (1.0 - 0.1 * k) * raw / raw.sum()
     means = [draw(st.integers(-192, 192)) / 64.0 for _ in range(k)]
     return list(weights), means
+
+
+def test_regularity_reads_a_drift_too_small_to_square():
+    # Every |b| on the grid is below sqrt(tiny), about 1.5e-154, so b * b
+    # underflows to 0; the estimate scales by max |b| instead (a case
+    # hypothesis found with free float means).
+    target = gaussian_mixture_target([0.5, 0.5], [[0.0], [2.6e-229]])
+    est = estimate_regularity(DriftEvaluator(target, "exact"))
+    grid = ProbeGrid()
+    pts = probe_points(grid, 1)
+    b = np.concatenate([drift_exact(target, pts, t) for t in grid.t_values])
+    assert est.b_sup_hat == float(np.max(np.abs(b))) == 1.3e-229
 
 
 @settings(max_examples=20, deadline=None)

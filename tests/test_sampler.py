@@ -2,6 +2,7 @@
 trajectories, failure reporting, and the Langevin baseline."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import threading
@@ -383,6 +384,35 @@ def test_batch_records_keep_their_golden_digests():
         "fe2c1185087f5e4282b8bd0f75fbadd3fa050112c58b532a5a355bf03b049fcc")
     assert sample_ground_truth(quartic_bump(3.0), 8, 13).config_digest == (
         "7475a5c6198268bae22d9cd56131efb7730728039fc165540867ee67d26002ae")
+
+
+# sha256 of the samples' bytes (steps 4, 100 particles, seed 3, m = 128, so
+# tile edges fall inside each step). Callables get their probes as a
+# transposed view; up to p = 7 these are also the bytes of C-order probes,
+# while at p >= 8 a callable's own np.sum(..., axis=1) groups its terms by
+# layout.
+_GOLDEN_SAMPLES = {
+    ("potential-2", "mc-grad"): "a18138596238e42edc8da2761c5393322e1988e2bec7f78491d2eba65f5498cd",
+    ("potential-2", "mc-stein"): "0d0b7fcac4abaf8f3eb50fb8ddbf4334a0d093771ea61b5a77b7b38db41ac557",
+    ("potential-7", "mc-grad"): "708ea7a31d65bc6bd086bf0608dc14c29160d24c0c3b5186baee41fe6517b646",
+    ("potential-7", "mc-stein"): "8656088cc66b8adf82d92955a6efb9121b465722424cc09661478c1906e331d1",
+    ("replaced-mixture", "mc-grad"): "cfde6dc19b98ec3d37af6ed5e0817bead8a7a0ba0ba3b20601df1a9e7fc49b98",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("name, drift", sorted(_GOLDEN_SAMPLES))
+def test_general_targets_keep_their_golden_sample_bytes(name, drift, workers):
+    if name == "replaced-mixture":
+        mix = MIX2.mixture
+        target = dataclasses.replace(MIX2, log_f=lambda x: mix.log_ratio(x),
+                                     grad_log_f=lambda x: mix.grad_log_ratio(x))
+    else:
+        target = gaussian_potential(np.linspace(-1.0, 1.0, int(name.split("-")[1])))
+    cfg = SamplerConfig(steps=4, particles=100, seed=3, drift=drift, mc_size=128)
+    samples = sfs_run(cfg, target, workers=workers).samples
+    assert hashlib.sha256(np.ascontiguousarray(samples).tobytes()).hexdigest() == (
+        _GOLDEN_SAMPLES[name, drift])
 
 
 def test_a_plan_keeps_its_golden_digest(tmp_path):
