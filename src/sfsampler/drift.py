@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +78,8 @@ class DriftEvaluator:
     the batch used for (step_index, particle_index) is row particle_index
     of the block drawn from the (seed, drift, step_index) substream, which
     is exactly the batch a sampler run with the same seed would use there.
-    ``workers`` is the number of threads ``batch`` splits the rows across.
+    ``workers`` caps the threads ``batch`` splits the rows across, which is
+    at most one a tile; it changes neither the bytes nor the warnings of a batch.
     """
 
     target: object
@@ -116,14 +116,15 @@ class DriftEvaluator:
         batch, a (p,) point (one row), or on a 1-D target a scalar (one row)
         or a length-n vector (n rows); ``step_index`` is a count from 0 in
         every mode. The exact mode is the closed form and otherwise ignores
-        the step. Row i
-        of a Monte-Carlo estimate uses the probes of particle i at step
-        ``step_index``. Rows run in cache-sized tiles, a span of them at a
-        time: one tile on the calling thread with one worker, whole tiles in
-        pool tasks with more, at most 2 * workers in flight. The calling
-        thread draws the probes in order, into a workspace no running task
-        holds; results are taken in order, so the first failing particle is
-        the one raised, and threads are joined before the call returns or raises.
+        the step. Row i of a Monte-Carlo estimate uses the probes of particle
+        i at step ``step_index``. Rows run in cache-sized tiles, a span of
+        them at a time: one tile on the calling thread with one worker; with
+        more, pool tasks of 1 to ``_TASK_TILES`` tiles, at most 2 * workers in
+        flight, on no more threads than tiles, each under the calling thread's
+        numpy error state. The calling thread draws the probes in order, into
+        a workspace no running task holds; results are taken in order, so the
+        first failing particle is the one raised, and threads are joined
+        before the call returns or raises.
         """
         points, _ = _coerce(points, self.target.dim)
         step_index = check_int("step_index", step_index, minimum=0)
@@ -133,9 +134,9 @@ class DriftEvaluator:
         n, p = points.shape
         gen = _rng.substream(self.seed, _rng.ROLE_DRIFT, step_index)
         out = np.empty((n, p))
-        workers = self.workers if n > 1 else 1  # a pool for one row costs more than the row
         tile = max(1, _CHUNK_VALUES // (self.m * (p + 1)))
-        span = tile if workers == 1 else min(-(-n // workers), _TASK_TILES * tile)
+        workers = min(self.workers, -(-n // tile))  # a task is at least one tile, a thread too
+        span = tile if workers == 1 else min(max(-(-n // workers), tile), _TASK_TILES * tile)
         spaces = [_Workspace(self.target, self.mode, min(tile, n), self.m, p, min(span, n))
                   for _ in range(1 if workers == 1 else min(-(-n // span), 2 * workers))]
 
@@ -148,7 +149,11 @@ class DriftEvaluator:
                     step_index=step_index, particle_offset=lo, ws=ws,
                 )
 
-        with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor  # loaded only where a pool starts
+        err = np.geterr()  # pool threads start from numpy's defaults; each enters the caller's
+        with (ThreadPoolExecutor(workers, initializer=lambda: np.seterr(**err)) if workers > 1
+              else contextlib.nullcontext()) as pool:
             pending = []
             for i, start in enumerate(range(0, n, span)):
                 if len(pending) == len(spaces):

@@ -137,7 +137,7 @@ def _run_evaluator(config, target, workers=1):
     return (dataclasses.replace(ev, target=regularize(target, eps)) if eps > 0.0 else ev), eps
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the error is the report; pool threads keep theirs
+@np.errstate(over="ignore", invalid="ignore")  # the error is the report; drift threads share it
 def _euler_maruyama(x, drift, h, scale, seed, role, steps, message, path=None):
     """Take ``steps`` in-place steps x += h * drift(x, k) + scale * xi_k; return x.
 
@@ -169,8 +169,9 @@ def sfs_run(config, target, *, workers=1, record_trajectory=False):
             positive eps swaps the run target for its regularized form.
         target: TargetSpec to sample from.
         workers: drift-evaluation threads, at least 1, which the run's
-            DriftEvaluator checks and owns. Any value yields byte-identical
-            results; more threads only speed up Monte-Carlo drift.
+            DriftEvaluator checks and owns; a drift batch uses at most one a
+            tile. Any value yields the same bytes and the same warnings;
+            more threads only speed up Monte-Carlo drift.
         record_trajectory: keep the whole path, not just terminal states;
             the samples and the resolved config are the same either way.
             A path of more than TRAJECTORY_BUDGET values is refused before

@@ -7,8 +7,10 @@ only up to a positive constant; that is fine for drift evaluation, which
 is scale free, and is tracked by the ``relative`` flag.
 
 Convention for vanishing densities: where f is zero, ``log_f`` returns
--inf and ``grad_log_f`` must return finite placeholder values (downstream
-code multiplies them by zero weight and must never see NaN from 0 * inf).
+-inf. The Monte-Carlo drift gives ``grad_log_f`` zero weight there and
+zeroes what it returns, finite or not. ``regularize`` does not: the floored
+gradient is the base one times the weight of f, so a target to be floored
+must return finite values where f = 0, as 0 * inf is NaN.
 """
 
 from __future__ import annotations

@@ -574,7 +574,8 @@ def test_no_thread_outlives_a_failed_threaded_batch():
 
     ev = DriftEvaluator(dataclasses.replace(tiny, log_f=log_f), "mc-grad", m=16, seed=5, workers=2)
     before = set(threading.enumerate())
-    with pytest.raises(DriftSingularityError) as err:
+    with mock.patch.object(_drift, "_CHUNK_VALUES", 16 * 2), \
+            pytest.raises(DriftSingularityError) as err:  # a particle a tile, so a pool starts
         ev.batch(np.full((8, 1), 3.0), 0.0, 0)
     assert err.value.particle_index == 0
     # The rows ran on pool threads, and every one of them was joined.

@@ -1,5 +1,6 @@
 """Cold start: the package and every command but the ``assignment`` metric
-run without loading scipy's heavy subpackages.
+run without loading scipy's heavy subpackages, and a one-thread command
+without the thread pool's ``concurrent.futures`` and the ``logging`` it loads.
 
 The test process itself has scipy loaded (the oracles use it), so the
 commands run in a fresh interpreter that reports what it imported.
@@ -16,6 +17,7 @@ import pytest
 from oracles import brute_force_w2
 
 HEAVY = ("scipy.optimize", "scipy.spatial", "scipy.sparse")
+POOL = ("concurrent.futures", "logging")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 MIXTURE = """[target]
@@ -79,7 +81,7 @@ def test_commands_load_no_heavy_scipy_subpackage(tmp_path):
         fh.write(MIXTURE)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    child = CHILD.format(heavy=HEAVY, x=x.tolist(), y=y.tolist())
+    child = CHILD.format(heavy=HEAVY + POOL, x=x.tolist(), y=y.tolist())
     done = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -7,6 +7,7 @@ import math
 import os
 import threading
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -127,10 +128,62 @@ def test_same_config_reruns_bit_identical(tmp_path):
 
 
 def test_worker_count_does_not_change_results():
-    cfg = SamplerConfig(steps=5, particles=300, seed=13, drift="mc-grad", mc_size=16)
-    one = sfs_run(cfg, MIX, workers=1)
-    many = sfs_run(cfg, MIX, workers=8)
-    assert np.array_equal(one.samples, many.samples)
+    # m = 128 makes 128-row tiles, so 300 particles span three of them.
+    for target, eps in ((MIX, "none"), (quartic_bump(3.0), "fixed:0.2")):
+        cfg = SamplerConfig(steps=5, particles=300, seed=13, drift="mc-grad", mc_size=128,
+                            eps=EpsSchedule.parse(eps))
+        one = sfs_run(cfg, target, workers=1).samples.tobytes()
+        for workers in (2, 3, 64):
+            assert sfs_run(cfg, target, workers=workers).samples.tobytes() == one, (eps, workers)
+
+
+def test_a_pool_thread_warns_no_more_than_the_calling_thread():
+    # f = 0 outside |x| < 1.5, where the gradient is +inf: the kernel's
+    # 0 * inf there is zeroed, under the run's error state on every thread.
+    def log_f(x):
+        return np.where(np.abs(x[:, 0]) < 1.5, -x[:, 0] ** 2, -np.inf)
+
+    callers = set()
+
+    def grad_log_f(x):
+        callers.add(threading.get_ident())
+        return np.where(np.abs(x) < 1.5, -2.0 * x, np.inf)
+
+    target = TargetSpec(name="cut", dim=1, log_f=log_f, grad_log_f=grad_log_f)
+    cfg = SamplerConfig(steps=3, particles=40, seed=5, drift="mc-grad", mc_size=32)
+    outs = set()
+    for workers in (1, 3, 64):
+        callers.clear()
+        with mock.patch.object(_drift, "_CHUNK_VALUES", 8 * 32 * 2), \
+                warnings.catch_warnings():  # five tiles of eight particles
+            warnings.simplefilter("error")
+            outs.add(sfs_run(cfg, target, workers=workers).samples.tobytes())
+        assert (threading.get_ident() in callers) == (workers == 1), workers
+    assert len(outs) == 1
+
+
+def test_a_batch_uses_at_most_one_thread_and_workspace_a_tile():
+    # m = 128 makes 128-row tiles: 300 particles are three tiles at any worker count.
+    cfg = SamplerConfig(steps=1, particles=300, seed=9, drift="mc-grad", mc_size=128)
+    workspace, core = _drift._Workspace, _drift._mc_drift_core
+    built, callers, pool = [], set(), set()
+
+    def spy_workspace(*args):
+        built.append(args)
+        assert len(built) <= 3, "a workspace for a batch of three tiles beyond the third"
+        return workspace(*args)
+
+    def spy_core(*args, **kwargs):  # by the last tile's call, every pool thread has started
+        callers.add(threading.get_ident())
+        pool.update(th for th in threading.enumerate() if th.name.startswith("ThreadPoolExecutor"))
+        return core(*args, **kwargs)
+
+    one = sfs_run(cfg, MIX, workers=1).samples.tobytes()
+    with mock.patch.object(_drift, "_Workspace", spy_workspace), \
+            mock.patch.object(_drift, "_mc_drift_core", spy_core):
+        many = sfs_run(cfg, MIX, workers=64).samples.tobytes()
+    assert 0 < len(pool) <= 3 and callers <= {th.ident for th in pool}
+    assert many == one
 
 
 # (target, drift, eps): the closed form and both Monte-Carlo forms on a
@@ -257,7 +310,8 @@ def test_failed_run_leaves_no_worker_running():
     target = TargetSpec(name="failing", dim=1, log_f=log_f)
     config = SamplerConfig(steps=1, particles=8, seed=5, drift="mc-stein", mc_size=4)
     before = set(threading.enumerate())
-    with pytest.raises(RuntimeError, match="first probe batch"):
+    with mock.patch.object(_drift, "_CHUNK_VALUES", 4 * 4 * 2), \
+            pytest.raises(RuntimeError, match="first probe batch"):  # two tiles of four
         sfs_run(config, target, workers=2)
     raised = time.perf_counter()
     assert len(calls) == 2
