@@ -42,7 +42,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import DriftSingularityError, UnsupportedTargetError, check_int, check_real
-from .targets import _coerce, _returned
+from .targets import _coerce, _returned, _weighted
 
 DRIFT_MODES = ("exact", "mc-grad", "mc-stein")
 
@@ -134,6 +134,8 @@ class DriftEvaluator:
         n, p = points.shape
         gen = _rng.substream(self.seed, _rng.ROLE_DRIFT, step_index)
         out = np.empty((n, p))
+        if n == 0:  # no tile to run or thread to start: (0, p), as the exact mode gives
+            return out
         tile = max(1, _CHUNK_VALUES // (self.m * (p + 1)))
         workers = min(self.workers, -(-n // tile))  # a task is at least one tile, a thread too
         span = tile if workers == 1 else min(max(-(-n // workers), tile), _TASK_TILES * tile)
@@ -277,11 +279,8 @@ def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset, w
     # In place where the one pass wrote log f into u and vec_j into channel j.
     np.subtract(lf, mx[:, None], out=u)
     np.exp(u, out=u)
-    for j in range(p):
-        np.multiply(u, vec[j], out=ext[j])
-    # u is 0 where f = 0 and grad log f may not be finite; a mixture's f never is.
-    if mode == "mc-grad" and not ws.fused and lf.min() == -np.inf:
-        np.copyto(ext[:p], 0.0, where=np.isneginf(lf))
+    # z is finite and a mixture's f is never 0: only a called gradient needs the f = 0 rule.
+    _weighted(u, vec, lf if mode == "mc-grad" and not ws.fused else None, out=ext[:p])
     # Every channel row is contiguous along m and summed in one call: all
     # share numpy's pairwise tree, and each row is summed on its own.
     acc = np.add.reduce(ext, axis=2, out=ws.acc[:, :n])

@@ -179,11 +179,15 @@ def mode_mass_balance(samples, mixture):
     """Fraction of samples nearest each mixture mean, against the weights.
 
     A sampler that loses a mode shows up as a large max_abs_error here
-    even when scalar metrics look tolerable.
+    even when scalar metrics look tolerable. The samples must be (n, dim),
+    n >= 1, and finite: a NaN row is nearest no mean, and no rows give no
+    fractions.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or x.shape[1] != mixture.dim:
         raise ValueError(f"samples must be (n, {mixture.dim}), got shape {x.shape}")
+    if x.shape[0] == 0 or not np.isfinite(x).all():
+        raise ValueError("samples must be at least one row, every value finite")
     sq = np.zeros((x.shape[0], mixture.n_components))
     for j in range(mixture.dim):
         sq += (x[:, j, None] - mixture.means[None, :, j]) ** 2

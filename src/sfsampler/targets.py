@@ -6,11 +6,8 @@ measure G = N(0, I_p), always in log space. Potential-form targets carry f
 only up to a positive constant; that is fine for drift evaluation, which
 is scale free, and is tracked by the ``relative`` flag.
 
-Convention for vanishing densities: where f is zero, ``log_f`` returns
--inf. The Monte-Carlo drift gives ``grad_log_f`` zero weight there and
-zeroes what it returns, finite or not. ``regularize`` does not: the floored
-gradient is the base one times the weight of f, so a target to be floored
-must return finite values where f = 0, as 0 * inf is NaN.
+Where f is zero, ``log_f`` returns -inf, and that point adds exactly 0 to every
+weighted sum, whatever ``grad_log_f`` returns there: ``_weighted`` is the rule.
 """
 
 from __future__ import annotations
@@ -74,6 +71,17 @@ def _affine(xb, vec, const, out, tmp):
         np.multiply(xb[j], vec[j], out=tmp)
         out += tmp
     out += const
+
+
+def _weighted(w, grad, log_f, out=None):
+    """w * grad, exactly 0 and silent where ``log_f`` (broadcast; None: f > 0) is -inf."""
+    if log_f is None or log_f.min() != -np.inf:
+        return np.multiply(w, grad, out=out)
+    with np.errstate(invalid="ignore"):  # w is 0 where f = 0: 0 * inf or 0 * NaN is NaN there
+        out = np.multiply(w, grad, out=out)
+    if np.isnan(out.max()):  # max propagates NaN; without one, every f = 0 product is +-0
+        np.copyto(out, 0.0, where=log_f == -np.inf)
+    return out
 
 
 def _returned(target, name, out, shape):
@@ -272,7 +280,8 @@ class TargetSpec:
         name: short human-readable label.
         dim: dimension p of the state space.
         log_f: batch callable, (n, dim) -> (n,), without log_scale.
-        grad_log_f: batch callable, (n, dim) -> (n, dim), or None.
+        grad_log_f: batch callable, (n, dim) -> (n, dim), or None. Its rows
+            where f = 0 weigh nothing, so they may hold anything: finite, +-inf or NaN.
         relative: True when f is known only up to a positive constant.
         log_scale: declared log of the density scale factor.
         mixture: closed-form mixture structure when available.
@@ -382,41 +391,36 @@ def regularize(target, eps):
 
     # General absolute target: wrap the callables in log space. The scale
     # field must be folded in here because f_eps mixes absolute values.
-    base_log_f = target.log_f
-    base_grad = target.grad_log_f
-    shift = target.log_scale
     log_keep = math.log1p(-eps)
     log_eps = math.log(eps)
-    dim = target.dim
 
     def log_f(pts):
-        lf = base_log_f(pts) + shift
+        lf = target.log_f(pts) + target.log_scale
         return np.logaddexp(log_keep + lf, log_eps)
 
     grad_log_f = None
-    if base_grad is not None:
+    if target.grad_log_f is not None:
 
         def grad_log_f(pts):
-            lf = base_log_f(pts) + shift
+            lf = target.log_f(pts) + target.log_scale
             lfe = np.logaddexp(log_keep + lf, log_eps)
             w = np.exp(log_keep + lf - lfe)
-            return w[:, None] * base_grad(pts)
+            return _weighted(w[:, None], target.grad_log_f(pts), lf[:, None])
 
     sampler = None
     if target.sampler is not None:
-        base_sampler = target.sampler
 
         def sampler(n, gen):
             keep = gen.random(n) < (1.0 - eps)
-            out = gen.standard_normal((n, dim))
+            out = gen.standard_normal((n, target.dim))
             n_keep = int(keep.sum())
             if n_keep:
-                out[keep] = base_sampler(n_keep, gen)
+                out[keep] = target.sampler(n_keep, gen)
             return out
 
     return TargetSpec(
         name=name,
-        dim=dim,
+        dim=target.dim,
         log_f=log_f,
         grad_log_f=grad_log_f,
         relative=False,

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from oracles import mixture_f_derivatives, mixture_gamma_xi, quadrature_drift_1d
 from sfsampler import (
     DriftEvaluator,
+    EpsSchedule,
     ProbeGrid,
     SamplerConfig,
+    TargetSpec,
     UnsupportedTargetError,
     default_drift_mode,
     drift_exact,
@@ -38,6 +40,7 @@ from sfsampler import (
 from sfsampler.errors import DriftSingularityError
 from sfsampler import drift as _drift
 from sfsampler import rng as _rng
+from sfsampler import sampler as _sampler
 from sfsampler import targets as _targets
 
 MIX = gaussian_mixture_target([0.5, 0.5], [[2.0], [-2.0]])
@@ -562,6 +565,72 @@ def test_all_probes_outside_support_is_a_reported_singularity():
     assert err.value.step_index == 0
     assert err.value.particle_index == 0
     assert err.value.t == 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("mode", ["exact", "mc-grad", "mc-stein"])
+def test_an_empty_batch_is_an_empty_drift_in_every_mode(mode, workers):
+    target = gaussian_mixture_target([0.3, 0.7], [[1.0, -2.0], [-1.5, 0.5]])
+    ev = DriftEvaluator(target, mode, m=8, seed=1, workers=workers)
+    b = ev.batch(np.empty((0, 2)), 0.5, 3)
+    assert b.shape == (0, 2) and b.dtype == np.float64
+
+
+def _cut_target(radius=1.5, fill=np.inf):
+    """f = 0 outside |x| < radius, where grad_log_f returns ``fill`` (None: -2x, as inside)."""
+    def log_f(x):
+        return np.where(np.abs(x[:, 0]) < radius, -x[:, 0] ** 2, -np.inf)
+
+    def grad_log_f(x):
+        return np.where(np.abs(x) < radius, -2.0 * x, -2.0 * x if fill is None else fill)
+
+    return TargetSpec(name="cut", dim=1, log_f=log_f, grad_log_f=grad_log_f)
+
+
+def _outcome(call):
+    """The bytes ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return np.ascontiguousarray(call()).tobytes()
+    except Exception as exc:  # noqa: BLE001 - the failure is the outcome compared
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_direct_batch_on_an_infinite_gradient_where_f_is_zero_warns_nothing(workers):
+    # Eight-particle tiles: the 40 points make five, shared by three threads at workers=3.
+    ev = DriftEvaluator(_cut_target(), "mc-grad", m=32, seed=1, workers=workers)
+    points = np.linspace(-1.2, 1.2, 40).reshape(-1, 1)
+    with mock.patch.object(_drift, "_CHUNK_VALUES", 8 * 32 * 2), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = ev.batch(points, 0.0, 0)
+        one = DriftEvaluator(_cut_target(fill=None), "mc-grad", m=32, seed=1).batch(points, 0.0, 0)
+    assert np.isfinite(b).all()
+    assert b.tobytes() == one.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([np.inf, -np.inf, np.nan, 0.0]), st.floats(1.0, 3.0),
+       st.integers(0, 2**32 - 1))
+def test_what_the_gradient_returns_where_f_is_zero_changes_no_byte(fill, radius, seed):
+    """The gradient where f = 0 is replaced by +inf, -inf, NaN or 0 against the
+    finite -2x: no byte of a direct batch or of a run changes, floored or not,
+    on one thread or three, and none of them warns."""
+    points = np.linspace(-radius, radius, 24).reshape(-1, 1)
+    with mock.patch.object(_drift, "_CHUNK_VALUES", 8 * 32 * 2), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for workers in (1, 3):
+            for eps in ("none", "fixed:0.2"):
+                outs = []
+                for g in (fill, None):
+                    cfg = SamplerConfig(steps=3, particles=24, seed=seed, drift="mc-grad",
+                                        mc_size=32, eps=EpsSchedule.parse(eps))
+                    target = _cut_target(radius, g)
+                    ev, _ = _sampler._run_evaluator(cfg, target, workers)
+                    outs.append((_outcome(lambda: ev.batch(points, 0.5, 1)),
+                                 _outcome(lambda: sfs_run(cfg, target, workers=workers).samples)))
+                assert outs[0] == outs[1], (workers, eps)
+                if eps != "none":
+                    assert all(isinstance(out, bytes) for out in outs[0]), outs[0]
 
 
 def test_no_thread_outlives_a_failed_threaded_batch():

@@ -407,6 +407,16 @@ def test_mode_mass_balance_rejects_samples_of_another_width(samples):
         mode_mass_balance(samples, MIX.mixture)
 
 
+@pytest.mark.parametrize("samples", [
+    np.zeros((0, 1)), np.array([[2.0], [np.nan]]), np.array([[-np.inf], [2.0]]),
+], ids=["empty", "nan", "inf"])
+def test_mode_mass_balance_refuses_an_empty_or_non_finite_sample(samples):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least one row, every value finite"):
+            mode_mass_balance(samples, MIX.mixture)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 40), st.integers(0, 2**32 - 1))
 def test_mode_mass_balance_matches_the_nearest_mean_by_cdist(p, k, n, seed):

@@ -138,8 +138,8 @@ def test_worker_count_does_not_change_results():
 
 
 def test_a_pool_thread_warns_no_more_than_the_calling_thread():
-    # f = 0 outside |x| < 1.5, where the gradient is +inf: the kernel's
-    # 0 * inf there is zeroed, under the run's error state on every thread.
+    # f = 0 outside |x| < 1.5, where the gradient is +inf: those probes weigh
+    # exactly 0 and raise no warning, on the calling thread or a pool thread.
     def log_f(x):
         return np.where(np.abs(x[:, 0]) < 1.5, -x[:, 0] ** 2, -np.inf)
 
