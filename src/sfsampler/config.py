@@ -33,7 +33,7 @@ RUN_KEYS = {
     "eps_rule": "str",
 }
 _ULA_KEYS = {"step_size": "float", "burn_in": "int"}
-_PLAN_KEYS = {"axis": "str", "values": "floats", "replications": "int", "metric": "str"}
+_PLAN_KEYS = {"axis": "str", "values": "floats", "replications": "int"}
 # Values for keys [run] leaves out whose field has no default of its own;
 # eps_rule is the text that parses to SamplerConfig.eps.
 _RUN_DEFAULTS = {"steps": 100, "particles": 1000, "eps_rule": "none"}

@@ -22,7 +22,7 @@ import numpy as np
 from . import rng as _rng
 from .batches import config_digest, rate_table_csv, save_batch, write_json
 from .drift import default_drift_mode
-from .metrics import ASSIGNMENT_MAX_POINTS, W2_METRICS, fit_rate, w2_noise_floor, w2_score
+from .metrics import fit_rate, w2_metric, w2_noise_floor, w2_score
 from .errors import UnsupportedTargetError, check_int, check_real
 from .sampler import EpsSchedule, SamplerConfig, _run_evaluator, sfs_run, ula_run
 from .targets import TargetSpec, describe, sample_ground_truth
@@ -32,7 +32,7 @@ SWEEP_AXES = ("steps", "particles", "mc_size", "eps")
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A sweep: one axis varied over at least three values.
+    """A sweep: one axis varied over at least three values, scored by the target's w2_metric.
 
     Attributes:
         target: the built TargetSpec; plan.json holds its batch-record description.
@@ -40,7 +40,6 @@ class ExperimentPlan:
         axis: the swept SamplerConfig field: "steps", "particles", "mc_size" or "eps".
         values: at least three axis values, kept as floats.
         replications: independent runs per cell, at least three.
-        metric: "w2_1d", "sliced", or "assignment" (metrics.W2_METRICS).
     """
 
     target: TargetSpec
@@ -48,7 +47,6 @@ class ExperimentPlan:
     axis: str
     values: tuple
     replications: int = 3
-    metric: str = "w2_1d"
 
     def __post_init__(self):
         object.__setattr__(self, "replications", check_int("replications", self.replications, 3))
@@ -65,22 +63,22 @@ class ExperimentPlan:
         for value in values:
             if not value.is_integer() and self.axis != "eps":
                 raise ValueError(f"{self.axis} values must be whole numbers, got {value!r}")
-        if self.metric not in W2_METRICS:
-            raise ValueError(f"metric must be one of {W2_METRICS}, got {self.metric!r}")
 
     def describe(self):
         """The plan as plan.json holds it: the base as its cells run it.
 
         The drift is what "auto" resolves to, m is None for the closed form, the
         eps rule stays as given (each cell binds it), and the swept setting is
-        left out, so requests that run alike give one plan.
+        left out, so requests that run alike give one plan. "metric" is the
+        W2 its cells score with.
         """
         desc = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
         base = dataclasses.asdict(self.base)
         drift = default_drift_mode(self.target) if self.base.drift == "auto" else self.base.drift
         base.update(drift=drift, mc_size=None if drift == "exact" else self.base.mc_size)
         del base[self.axis]
-        return {**desc, "base": base, "target": describe(self.target)}
+        return {**desc, "base": base, "metric": w2_metric(self.target.dim),
+                "target": describe(self.target)}
 
 
 def _cell_config(base, axis, value):
@@ -102,8 +100,6 @@ def run_experiment(plan, out_dir, workers=1):
     if target.sampler is None:
         raise UnsupportedTargetError(
             f"a sweep scores against ground truth; target {target.name!r} has no sampler")
-    if plan.metric == "w2_1d" and target.dim != 1:
-        raise ValueError("metric w2_1d needs a one-dimensional target")
     # The base run's drift and floor as every cell resolves them; on the mc_size
     # and eps axes each cell brings its own m or floor, so the base has none.
     base = plan.base
@@ -115,11 +111,8 @@ def run_experiment(plan, out_dir, workers=1):
         raise ValueError(
             "an mc_size sweep needs a Monte-Carlo drift mode; the closed-form drift ignores m"
         )
-    sizes = plan.values if plan.axis == "particles" else (plan.base.particles,)
-    if plan.metric == "assignment" and min(sizes) > ASSIGNMENT_MAX_POINTS:
-        raise ValueError(f"metric assignment is limited to {ASSIGNMENT_MAX_POINTS} particles, "
-                         "and every cell has more")
 
+    metric = w2_metric(target.dim)
     plan_desc = plan.describe()
     plan_digest = config_digest(plan_desc)
     write_json(os.path.join(out_dir, "plan.json"), {"digest": plan_digest, "plan": plan_desc})
@@ -131,14 +124,13 @@ def run_experiment(plan, out_dir, workers=1):
         try:
             cfg = _cell_config(plan.base, plan.axis, value)
             seeds = _rng.child_seeds(plan.base.seed, ci, 2 * plan.replications + 1)
-            # The floor first: a cell the metric cannot score fails before any run.
-            floor = w2_noise_floor(target, cfg.particles, seeds[-1], pairs=1, metric=plan.metric)
+            floor = w2_noise_floor(target, cfg.particles, seeds[-1], pairs=1)
             scores = []
             for r in range(plan.replications):
                 run_cfg = dataclasses.replace(cfg, seed=seeds[2 * r])
                 batch = sfs_run(run_cfg, target, workers=workers)
                 truth = sample_ground_truth(target, cfg.particles, seeds[2 * r + 1])
-                scores.append(w2_score(plan.metric, batch.samples, truth.samples, seeds[2 * r + 1]))
+                scores.append(w2_score(metric, batch.samples, truth.samples, seeds[2 * r + 1]))
             scores = np.asarray(scores)
             cells.append(
                 {
@@ -243,7 +235,7 @@ def compare_samplers(target, config, ula_step_size, ula_burn_in, out_dir=None, w
 
     gt_seed = _rng.child_seeds(config.seed, 0, 1)[0]
     truth = sample_ground_truth(target, config.particles, gt_seed).samples
-    metric = "w2_1d" if target.dim == 1 else "sliced"
+    metric = w2_metric(target.dim)
 
     def score(samples):
         entry = {"w2": w2_score(metric, samples, truth, gt_seed), "metric": metric}

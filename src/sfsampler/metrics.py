@@ -5,6 +5,7 @@ the optimal coupling is the order statistics, which is exact and cheap;
 ``sliced_w2`` averages that over random directions as a scalable proxy in
 higher dimension (it lower-bounds the true W2); ``exact_w2_assignment``
 solves the matching problem outright and is guarded to small batches.
+Sweeps and comparisons score by sorting at p = 1 and sliced above (``w2_metric``).
 """
 
 from __future__ import annotations
@@ -169,6 +170,11 @@ def fit_rate(xs, ys):
     return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2, n_points=xs.size)
 
 
+def w2_metric(dim):
+    """The W2 metric a run of a dim-dimensional target scores with."""
+    return "w2_1d" if dim == 1 else "sliced"
+
+
 def w2_score(metric, x, y, seed):
     """W2 between equal-size samples by a metric in W2_METRICS; seed drives "sliced"."""
     if metric == "w2_1d":
@@ -180,7 +186,7 @@ def w2_score(metric, x, y, seed):
     raise ValueError(f"metric must be one of {W2_METRICS}, got {metric!r}")
 
 
-def w2_noise_floor(target, n, seed, pairs=3, metric="w2_1d"):
+def w2_noise_floor(target, n, seed, pairs=3, metric=None):
     """Typical W2 between two independent same-size ground-truth batches.
 
     Thresholds for "close to the target" are set as multiples of this
@@ -191,9 +197,10 @@ def w2_noise_floor(target, n, seed, pairs=3, metric="w2_1d"):
         n: batch size the floor should refer to.
         seed: root seed for the batch draws.
         pairs: number of independent batch pairs averaged.
-        metric: one of W2_METRICS, as in ``w2_score``.
+        metric: one of W2_METRICS, as in ``w2_score``; by default the target's ``w2_metric``.
     """
     pairs = check_int("pairs", pairs)
+    metric = w2_metric(target.dim) if metric is None else metric
     seeds = _rng.child_seeds(seed, 0, 2 * pairs)
     vals = []
     for i in range(pairs):

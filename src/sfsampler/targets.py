@@ -99,7 +99,7 @@ class TargetRegularity:
     Attributes:
         gamma: Lipschitz bound for f and for its gradient.
         xi: positive lower bound, f >= xi.
-        zeta: optional upper bound, f <= zeta.
+        zeta: optional upper bound, f <= zeta; at least xi (f may be constant).
     """
 
     gamma: float
@@ -111,6 +111,8 @@ class TargetRegularity:
             value = getattr(self, name)
             if name != "zeta" or value is not None:
                 object.__setattr__(self, name, check_real(name, value, low=0.0))
+        if self.zeta is not None and self.zeta < self.xi:
+            raise ValueError(f"zeta must be at least xi, got zeta {self.zeta!r} < xi {self.xi!r}")
 
     def describe(self):
         out = {"gamma": self.gamma, "xi": self.xi}
@@ -608,17 +610,24 @@ def build_target(options):
 
     The dict must carry a "kind" key naming one of the kinds above; the
     remaining keys are that kind's required and optional options. An
-    optional "regularity" dict declares (gamma, xi, zeta).
+    optional "regularity" dict declares gamma and xi, and may declare zeta.
 
     Raises:
         UnknownTargetError: the kind is not registered.
-        ValueError: a required option is missing or an unexpected one given.
+        ValueError: a required option or regularity key is missing, or an
+            unexpected one given.
     """
     if not isinstance(options, dict) or "kind" not in options:
         raise ValueError("target options must be a dict with a 'kind' key")
     opts = dict(options)
     kind = opts.pop("kind")
     reg = opts.pop("regularity", None)
+    if isinstance(reg, dict):
+        missing = [key for key in ("gamma", "xi") if key not in reg]
+        extra = sorted(set(reg) - {"gamma", "xi", "zeta"})
+        if missing or extra:
+            raise ValueError(f"regularity needs gamma and xi and may give zeta; "
+                             f"missing {missing}, unexpected {extra}")
     regularity = TargetRegularity(**reg) if isinstance(reg, dict) else reg
     if kind not in _KINDS:
         raise UnknownTargetError(f"unknown target kind {kind!r}")

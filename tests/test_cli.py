@@ -1,6 +1,7 @@
 """CLI: exit codes, error JSON, and the files each subcommand leaves behind."""
 
 import argparse
+import hashlib
 import json
 import os
 from dataclasses import asdict
@@ -45,7 +46,6 @@ burn_in = 20
 axis = steps
 values = 4 8 16
 replications = 3
-metric = w2_1d
 """
 
 SINGULAR = """[target]
@@ -273,7 +273,7 @@ def test_missing_seed_is_exit_2(tmp_path, capsys):
 
 def test_repeated_plan_values_are_exit_2_before_any_file(tmp_path, capsys):
     text = GOOD.replace("axis = steps\nvalues = 4 8 16", "axis = particles\nvalues = 600 600 64 64")
-    cfg = _write(tmp_path, text.replace("metric = w2_1d", "metric = assignment"))
+    cfg = _write(tmp_path, text)
     out = os.path.join(tmp_path, "o")
     assert main(["sweep", "--config", cfg, "--out", out]) == 2
     payload = _json_out(capsys)
@@ -417,17 +417,74 @@ def test_m_driven_eps_with_the_closed_form_is_exit_4_in_every_run_command(
     assert not os.path.exists(out)
 
 
-def test_assignment_sweep_over_its_size_limit_is_exit_4_before_any_file(tmp_path, capsys):
-    text = GOOD.replace("particles = 128", "particles = 1000")
-    cfg = _write(tmp_path, text.replace("metric = w2_1d", "metric = assignment"))
+SWEEP_1D = """[target]
+kind = mixture
+weights = 0.5 0.5
+means = 2; -2
+
+[run]
+seed = 7
+steps = 10
+particles = 64
+drift = mc-grad
+mc_size = 8
+
+[plan]
+axis = steps
+values = 2 4 8
+"""
+SWEEP_2D = SWEEP_1D.replace("means = 2; -2", "means = 2 0; -2 0")
+
+
+def test_a_run_file_cannot_name_a_metric(tmp_path, capsys):
+    # Not even the one its dimension gives.
+    cfg = _write(tmp_path, SWEEP_1D + "metric = w2_1d\n")
     out = os.path.join(tmp_path, "o")
     with mock.patch.object(harness, "sfs_run", side_effect=AssertionError("sampler ran")) as run:
-        assert main(["sweep", "--config", cfg, "--out", out]) == 4
-    payload = _json_out(capsys)
-    assert payload["error"] == "ValueError"
-    assert "limited to 512 particles" in payload["message"]
+        assert main(["sweep", "--config", cfg, "--out", out]) == 2
     assert not run.called
-    assert not os.path.exists(os.path.join(out, "plan.json"))
+    assert _json_out(capsys) == {"error": "ConfigError", "exit": 2,
+                                 "message": "unknown key 'metric' in section [plan]"}
+    assert not os.path.exists(out)
+
+
+# A sweep scores by sorting in one dimension and by sliced W2 above, and writes
+# the bytes of a run file that named that metric while [plan] took one.
+@pytest.mark.parametrize("text, metric, digests", [
+    (SWEEP_1D, "w2_1d", {
+        "cells.csv": "e36c7a6a114bd5a40ae2023cb73583927c7094868e0d3d85459cfdd6f273a374",
+        "plan.json": "50e8ec3e7d64c6c6a5aa2da2a9d8ea6b8a7b5ef9b5ea4811558545b67aacd5f3",
+    }),
+    (SWEEP_2D, "sliced", {
+        "cells.csv": "45471dd866bca62579b17ae22334d0025b334bf981c3f2f3bc88d7c65067111b",
+        "plan.json": "bd1bf647c325d6c8d4ef55af5d37a384db5710ef063e6e9f5e277df2047aaa26",
+    }),
+], ids=["1-d", "2-d"])
+def test_a_sweep_scores_as_its_dimension_gives_and_keeps_its_bytes(
+        tmp_path, capsys, text, metric, digests):
+    cfg = _write(tmp_path, text)
+    out = os.path.join(tmp_path, "o")
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    assert _json_out(capsys)["failures"] == {}
+    with open(os.path.join(out, "plan.json")) as fh:
+        assert json.load(fh)["plan"]["metric"] == metric
+    for name, digest in digests.items():
+        with open(os.path.join(out, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("text, metric", [(SWEEP_1D, "w2_1d"), (SWEEP_2D, "sliced")],
+                         ids=["1-d", "2-d"])
+def test_sweep_and_compare_score_with_one_metric(tmp_path, capsys, text, metric):
+    cfg = _write(tmp_path, text + "\n[ula]\nstep_size = 0.05\nburn_in = 20\n")
+    for command in ("sweep", "compare"):
+        assert main([command, "--config", cfg, "--out", os.path.join(tmp_path, command)]) == 0
+    capsys.readouterr()
+    with open(os.path.join(tmp_path, "sweep", "plan.json")) as fh:
+        plan = json.load(fh)["plan"]
+    with open(os.path.join(tmp_path, "compare", "comparison.json")) as fh:
+        comparison = json.load(fh)
+    assert plan["metric"] == comparison["sfs"]["metric"] == comparison["ula"]["metric"] == metric
 
 
 def test_drift_check_needs_the_closed_form_before_any_mc_batch(tmp_path, capsys):
@@ -622,6 +679,17 @@ def test_regularity_reports_a_violated_bound_and_only_the_b_sup_check(tmp_path, 
 
 
 BUMP = "[target]\nkind = bump\nradius = 3\n\n[run]\nseed = 1\n"
+
+
+@pytest.mark.parametrize("declared, code", [
+    ("gamma = 1\nxi = 0.5\nzeta = 0.1", 4), ("gamma = 1\nzeta = 0.1", 2),
+], ids=["zeta-below-xi", "no-xi"])
+def test_a_declared_zeta_below_xi_exits_4_and_a_missing_xi_exits_2(
+        tmp_path, capsys, declared, code):
+    text = BUMP.replace("[run]", f"[target.regularity]\n{declared}\n\n[run]") + "eps_rule = log\n"
+    cfg = _write(tmp_path, text)
+    assert main(["regularity", "--config", cfg]) == code
+    assert _json_out(capsys)["error"] == ("ValueError" if code == 4 else "ConfigError")
 
 
 def test_regularity_on_a_floored_bump_runs_on_the_floored_target(tmp_path, capsys):

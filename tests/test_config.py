@@ -32,7 +32,6 @@ from sfsampler.config import (
     write_resolved_ini,
 )
 from sfsampler.harness import SWEEP_AXES
-from sfsampler.metrics import W2_METRICS
 from sfsampler.targets import _KINDS, build_target, describe
 
 
@@ -64,7 +63,6 @@ burn_in = 100
 axis = steps
 values = 4 8 16
 replications = 3
-metric = w2_1d
 """
 
 
@@ -156,7 +154,6 @@ burn_in = 100
 axis = eps
 values = 0.1 0.2 0.3333333333333333
 replications = 4
-metric = sliced
 """
 
 GOLDEN_MINIMAL = """[target]
@@ -188,7 +185,6 @@ def test_resolved_ini_bytes_are_pinned(tmp_path):
     )
     plan = ExperimentPlan(
         target=target, base=config, axis="eps", values=(0.1, 0.2, 1 / 3), replications=4,
-        metric="sliced",
     )
     ula = {"step_size": 0.05, "burn_in": 100}
     path = os.path.join(tmp_path, "full", "resolved.ini")
@@ -243,7 +239,6 @@ def _run_files(draw):
         axis=axis,
         values=tuple(draw(st.lists(value, min_size=3, max_size=6, unique=True))),
         replications=draw(st.integers(3, 10**6)),
-        metric=draw(st.sampled_from(W2_METRICS)),
     )
     return config, plan
 

@@ -43,7 +43,6 @@ def _tiny_plan(**kwargs):
         axis="steps",
         values=(4, 8, 16),
         replications=3,
-        metric="w2_1d",
     )
     base.update(kwargs)
     return ExperimentPlan(**base)
@@ -56,8 +55,6 @@ def test_plan_validation():
         _tiny_plan(values=(4, 8))
     with pytest.raises(ValueError):
         _tiny_plan(replications=2)
-    with pytest.raises(ValueError):
-        _tiny_plan(metric="kl")
     for bad in ({"replications": 3.5}, {"replications": True}):
         with pytest.raises(ValueError):
             _tiny_plan(**bad)
@@ -228,7 +225,7 @@ def test_plans_of_different_work_keep_different_digests(first, second):
 ])
 def test_each_cell_noise_floor_is_one_pair_of_w2_noise_floor(tmp_path, metric, options):
     target = build_target(options)
-    plan = _tiny_plan(target=target, metric=metric)
+    plan = _tiny_plan(target=target)
     summary = run_experiment(plan, os.path.join(tmp_path, "sweep"))
     for ci, cell in enumerate(summary["cells"]):
         # Replication r runs on child seed 2r and scores on 2r + 1; the last is the floor's.
@@ -338,30 +335,6 @@ def test_m_driven_eps_needs_a_monte_carlo_base_before_any_file(tmp_path, rule):
     assert summary["failures"] == {}
 
 
-@pytest.mark.parametrize("axis, values", [
-    ("steps", (2, 4, 8)), ("eps", (0.1, 0.2, 0.3)), ("particles", (513, 600, 1000)),
-])
-def test_assignment_sweep_with_every_cell_over_its_limit_fails_before_any_file(
-        tmp_path, axis, values):
-    plan = _tiny_plan(axis=axis, values=values, metric="assignment",
-                      base=SamplerConfig(steps=4, particles=1000, seed=3))
-    out = os.path.join(tmp_path, "sweep")
-    with mock.patch.object(harness, "sfs_run", side_effect=AssertionError("sampler ran")) as run:
-        with pytest.raises(ValueError, match="limited to 512 particles"):
-            run_experiment(plan, out)
-    assert not run.called
-    assert not os.path.exists(out)
-
-
-def test_assignment_particles_sweep_runs_the_cells_within_its_limit(tmp_path):
-    plan = _tiny_plan(axis="particles", values=(16, 512, 513), metric="assignment",
-                      base=SamplerConfig(steps=2, particles=1000, seed=3))
-    summary = run_experiment(plan, os.path.join(tmp_path, "sweep"))
-    assert [c["value"] for c in summary["cells"]] == [16, 512]
-    assert list(summary["failures"]) == ["513.0"]
-    assert "limited to 512 points, got 513" in summary["failures"]["513.0"]
-
-
 def test_sliced_metric_on_a_2d_target(tmp_path):
     plan = _tiny_plan(
         target=build_target({
@@ -369,23 +342,22 @@ def test_sliced_metric_on_a_2d_target(tmp_path):
             "weights": [0.5, 0.5],
             "means": [[2.0, 0.0], [-2.0, 0.0]],
         }),
-        metric="sliced",
         values=(2, 4, 8),
     )
     summary = run_experiment(plan, os.path.join(tmp_path, "sweep"))
     assert summary["failures"] == {}
+    with open(os.path.join(tmp_path, "sweep", "plan.json")) as fh:
+        assert json.load(fh)["plan"]["metric"] == "sliced"
 
 
-def test_w2_1d_metric_rejects_multidim_targets(tmp_path):
-    plan = _tiny_plan(
-        target=build_target({
-            "kind": "mixture",
-            "weights": [0.5, 0.5],
-            "means": [[2.0, 0.0], [-2.0, 0.0]],
-        })
-    )
+def test_w2_1d_metric_rejects_multidim_targets():
+    target = build_target({
+        "kind": "mixture",
+        "weights": [0.5, 0.5],
+        "means": [[2.0, 0.0], [-2.0, 0.0]],
+    })
     with pytest.raises(ValueError):
-        run_experiment(plan, os.path.join(tmp_path, "sweep"))
+        w2_noise_floor(target, 64, seed=3, metric="w2_1d")
 
 
 def test_mode_mass_balance_counts_nearest_means():
@@ -522,13 +494,3 @@ def test_sweeps_and_comparisons_record_no_path(tmp_path):
     assert run.call_count == len(batches) == 3 * 3 + 1
     assert all(batch.trajectories is None for batch in batches)
     assert report == compare_samplers(MIX, base, ula_step_size=0.05, ula_burn_in=20)
-
-
-def test_assignment_cell_over_its_limit_fails_before_any_run(tmp_path):
-    plan = _tiny_plan(axis="particles", values=(8, 16, 513), metric="assignment",
-                      base=SamplerConfig(steps=2, particles=1000, seed=3))
-    with mock.patch.object(harness, "sfs_run", wraps=harness.sfs_run) as run:
-        summary = run_experiment(plan, os.path.join(tmp_path, "sweep"))
-    assert list(summary["failures"]) == ["513.0"]
-    assert "limited to 512 points, got 513" in summary["failures"]["513.0"]
-    assert run.call_count == 2 * plan.replications

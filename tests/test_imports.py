@@ -40,7 +40,6 @@ burn_in = 4
 axis = steps
 values = 2 4 8
 replications = 3
-metric = w2_1d
 """
 
 CHILD = """

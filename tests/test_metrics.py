@@ -139,6 +139,14 @@ def test_w2_1d_takes_one_column_and_never_flattens():
         w2_noise_floor(gaussian([0.0, 0.0]), 16, 0, metric="w2_1d")
 
 
+@pytest.mark.parametrize("target, metric", [
+    (MIX, "w2_1d"),
+    (gaussian_mixture_target([0.5, 0.5], [[2.0, 0.0], [-2.0, 0.0]]), "sliced"),
+], ids=["1-d", "2-d"])
+def test_noise_floor_scores_by_default_as_a_run_of_its_target_does(target, metric):
+    assert w2_noise_floor(target, 64, 9) == w2_noise_floor(target, 64, 9, metric=metric)
+
+
 def test_w2_score_names_every_metric():
     gen = np.random.default_rng(5)
     x, y = gen.normal(size=(32, 1)), gen.normal(size=(32, 1))

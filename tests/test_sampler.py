@@ -471,7 +471,7 @@ def test_general_targets_keep_their_golden_sample_bytes(name, drift, workers):
 
 def test_a_plan_keeps_its_golden_digest(tmp_path):
     cfg = SamplerConfig(steps=4, particles=8, seed=11, drift="mc-grad", mc_size=16)
-    plan = ExperimentPlan(target=MIX2, base=cfg, axis="steps", values=(2, 4, 8), metric="sliced")
+    plan = ExperimentPlan(target=MIX2, base=cfg, axis="steps", values=(2, 4, 8))
     summary = run_experiment(plan, os.path.join(tmp_path, "sweep"))
     assert summary["plan_digest"] == config_digest(plan.describe()) == (
         "8622fdb9ef0e50a5cf4a0c85a184133d058bde9fdceb1f9113ead2c5668b5aec")

@@ -339,6 +339,27 @@ def test_build_target_accepts_regularity():
     assert describe(t)["regularity"] == {"gamma": 100.0, "xi": 0.01}
 
 
+@pytest.mark.parametrize("regularity, message", [
+    ({"gamma": 1.0}, r"missing \['xi'\], unexpected \[\]"),
+    ({"xi": 0.5, "zeta": 2.0}, r"missing \['gamma'\], unexpected \[\]"),
+    ({"gamma": 1.0, "xi": 0.5, "zeta": 2.0, "lip": 3.0}, r"missing \[\], unexpected \['lip'\]"),
+], ids=["no-xi", "no-gamma", "unknown-key"])
+def test_build_target_names_the_regularity_keys_it_refuses(regularity, message):
+    with pytest.raises(ValueError, match=message):
+        build_target({"kind": "bump", "regularity": regularity})
+
+
+def test_zeta_below_xi_is_refused_and_zeta_equal_to_xi_kept():
+    with pytest.raises(ValueError, match="zeta must be at least xi"):
+        TargetRegularity(gamma=1.0, xi=0.5, zeta=0.1)
+    # f may be constant, so its bounds may meet; flooring keeps them in order.
+    for zeta in (0.5, 0.6):
+        declared = TargetRegularity(gamma=1.0, xi=0.5, zeta=zeta)
+        bump = dataclasses.replace(quartic_bump(), regularity=declared)
+        floored = regularize(bump, 0.3).regularity
+        assert (floored.zeta > floored.xi) == (zeta > 0.5) and floored.zeta >= floored.xi
+
+
 def test_bump_sampler_matches_declared_variance():
     b = quartic_bump(3.0)
     batch = sample_ground_truth(b, 200_000, 21)
