@@ -768,6 +768,28 @@ def test_check_commands_on_the_closed_form_run_mc_grad_at_m_64(tmp_path, capsys,
     assert got == capsys.readouterr().out
 
 
+def test_iid_probes_miss_an_off_centre_mixture_at_t_0(tmp_path, capsys):
+    """A known failure of iid probes, pinned until per-step diagnostics can flag it.
+
+    At t = 0 the probes are N(0, 1) draws, and an even mixture at 2.5 and 5.5 puts
+    its mass where few of m = 64 probes land, so a few probes carry nearly all of the
+    softmax weight. drift-check read an RMS of 1.01-1.08 there against 0.14-0.22 on
+    the +-2 mixture (seeds 1-3). Per-step drift diagnostics (ROADMAP item 4) must
+    flag the off-centre case and not the +-2 one.
+    """
+    def rms_at_0(means, seed):
+        cfg = _write(tmp_path, f"[target]\nkind = mixture\nweights = 0.5 0.5\nmeans = {means}\n\n"
+                     f"[run]\nseed = {seed}\ndrift = mc-grad\nmc_size = 64\n")
+        assert main(["drift-check", "--config", cfg]) == 0
+        cell = _json_out(capsys)["cells"][0]
+        assert cell["t"] == 0.0
+        return cell["rms"]
+
+    for seed in (1, 2, 3):
+        assert rms_at_0("2.5; 5.5", seed) >= 0.6
+        assert rms_at_0("2; -2", seed) <= 0.35
+
+
 def test_config_that_is_not_utf8_is_exit_2(tmp_path, capsys):
     cfg = os.path.join(tmp_path, "bad.ini")
     with open(cfg, "wb") as fh:
