@@ -4,9 +4,11 @@ Subcommands: sample (run the diffusion sampler and write a batch),
 drift-check (Monte-Carlo drift against the closed form on a grid),
 sweep (run an experiment plan), compare (budget-matched Langevin
 comparison), regularity (the grid supremum of |b| against the declared
-gamma / xi). Every failure prints one JSON object describing the error and
-exits with a stable code: 2 config or I/O, 3 unknown target kind,
-4 validation or unsupported operation, 5 numerical breakdown mid-run.
+gamma / xi). Each prints one JSON object, its report or its error, and exits
+with a stable code rather than a traceback: 2 config or I/O, 3 unknown target
+kind, 4 validation, unsupported operation or refused allocation, 5 numerical
+breakdown mid-run. A report that cannot be written exits 2, unless the reader
+left (a closed pipe): then the command keeps its own code.
 """
 
 from __future__ import annotations
@@ -31,13 +33,7 @@ from .config import (
 )
 from .drift import ProbeGrid, _mc_mode, drift_exact, estimate_regularity, probe_points
 from .drift import drift_mc_stein  # noqa: F401 - bench/workloads.py patches cli.drift_mc_stein
-from .errors import (
-    ConfigError,
-    DriftSingularityError,
-    NonFiniteStateError,
-    UnknownTargetError,
-    UnsupportedTargetError,
-)
+from .errors import ConfigError, DriftSingularityError, NonFiniteStateError, UnknownTargetError
 from .harness import compare_samplers, run_experiment
 from .sampler import _run_evaluator, sfs_run
 
@@ -86,10 +82,6 @@ def _load(args):
     if not os.path.isdir(path):
         raise NotADirectoryError(f"--out {args.out}: {path} is not a directory")
     return sections, target, config
-
-
-def _emit(payload):
-    dump_json(payload, sys.stdout)
 
 
 def _cmd_sample(args):
@@ -211,21 +203,14 @@ COMMANDS = {
 }
 
 
-def _error_payload(exc, code):
-    payload = {"error": type(exc).__name__, "exit": code, "message": str(exc)}
-    if isinstance(exc, DriftSingularityError):
-        payload["context"] = {
-            "particle_index": exc.particle_index,
-            "step_index": exc.step_index,
-            "t": exc.t,
-            "x": None if exc.x is None else np.asarray(exc.x).tolist(),
-        }
-    elif isinstance(exc, NonFiniteStateError):
-        payload["context"] = {
-            "particle_index": exc.particle_index,
-            "step_index": exc.step_index,
-        }
-    return payload
+# First match wins; any other exception propagates, so a programming error shows.
+EXIT_CODES = (
+    (ConfigError, EXIT_CONFIG),
+    (UnknownTargetError, EXIT_UNKNOWN_TARGET),
+    ((DriftSingularityError, NonFiniteStateError), EXIT_NUMERICAL),
+    ((ValueError, MemoryError), EXIT_VALIDATION),  # UnsupportedTargetError is a ValueError
+    (OSError, EXIT_CONFIG),
+)
 
 
 def main(argv=None):
@@ -238,23 +223,24 @@ def main(argv=None):
         payload = args.func(args)
         if args.report and args.out:
             write_json(os.path.join(args.out, args.report), payload)
-        _emit(payload)
-        return EXIT_OK
-    except ConfigError as exc:
-        _emit(_error_payload(exc, EXIT_CONFIG))
-        return EXIT_CONFIG
-    except UnknownTargetError as exc:
-        _emit(_error_payload(exc, EXIT_UNKNOWN_TARGET))
-        return EXIT_UNKNOWN_TARGET
-    except (DriftSingularityError, NonFiniteStateError) as exc:
-        _emit(_error_payload(exc, EXIT_NUMERICAL))
-        return EXIT_NUMERICAL
-    except (UnsupportedTargetError, ValueError) as exc:
-        _emit(_error_payload(exc, EXIT_VALIDATION))
-        return EXIT_VALIDATION
+        code = EXIT_OK
+    except Exception as exc:
+        code = next((c for kinds, c in EXIT_CODES if isinstance(exc, kinds)), None)
+        if code is None:
+            raise
+        context = {"context": exc.context} if hasattr(exc, "context") else {}
+        payload = {"error": type(exc).__name__, "exit": code, "message": str(exc), **context}
+    try:
+        dump_json(payload, sys.stdout)
+        sys.stdout.flush()
     except OSError as exc:
-        _emit(_error_payload(exc, EXIT_CONFIG))
-        return EXIT_CONFIG
+        # Point stdout at /dev/null so the exit flush cannot fail again. A reader that
+        # left keeps the command's code; any other failed write is an I/O failure.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return code if isinstance(exc, BrokenPipeError) else EXIT_CONFIG
+    return code
 
 
 if __name__ == "__main__":

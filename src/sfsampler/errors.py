@@ -53,7 +53,8 @@ class DriftSingularityError(RuntimeError):
 
     Every Monte-Carlo probe landed where f is zero, so the ratio estimate
     is undefined. Carries the evaluation point and stream coordinates so
-    the failing particle and step can be identified.
+    the failing particle and step can be identified; ``context`` holds them
+    as JSON values.
     """
 
     def __init__(self, message, *, x=None, t=None, step_index=None, particle_index=None):
@@ -62,12 +63,15 @@ class DriftSingularityError(RuntimeError):
         self.t = t
         self.step_index = step_index
         self.particle_index = particle_index
+        self.context = {"particle_index": particle_index, "step_index": step_index, "t": t,
+                        "x": None if x is None else np.asarray(x).tolist()}
 
 
 class NonFiniteStateError(RuntimeError):
-    """A particle's state stopped being finite mid-run."""
+    """A particle's state stopped being finite mid-run; ``context`` names where."""
 
     def __init__(self, message, *, particle_index=None, step_index=None):
         super().__init__(message)
         self.particle_index = particle_index
         self.step_index = step_index
+        self.context = {"particle_index": particle_index, "step_index": step_index}

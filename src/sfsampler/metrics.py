@@ -107,10 +107,15 @@ def exact_w2_assignment(x, y):
     Guarded to n <= 512 because the solver is cubic in n. The solver and
     the cost matrix are scipy's, imported here rather than with the
     package: the first call pays the import of ``scipy.optimize`` and
-    ``scipy.spatial``, and no other metric or command loads them.
+    ``scipy.spatial``, and no other metric or command loads them. scipy is
+    a test dependency, so without it this raises ImportError.
     """
-    from scipy.optimize import linear_sum_assignment
-    from scipy.spatial.distance import cdist
+    try:
+        from scipy.optimize import linear_sum_assignment
+        from scipy.spatial.distance import cdist
+    except ImportError as exc:
+        raise ImportError("exact_w2_assignment needs scipy: pip install scipy, "
+                          "or install the package with its [test] extra") from exc
 
     x = _sample_2d(x)
     y = _sample_2d(y)

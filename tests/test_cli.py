@@ -1,6 +1,7 @@
 """CLI: exit codes, error JSON, and the files each subcommand leaves behind."""
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -768,17 +769,23 @@ def test_check_commands_on_the_closed_form_run_mc_grad_at_m_64(tmp_path, capsys,
     assert got == capsys.readouterr().out
 
 
-def test_iid_probes_miss_an_off_centre_mixture_at_t_0(tmp_path, capsys):
-    """A known failure of iid probes, pinned until per-step diagnostics can flag it.
+@pytest.mark.parametrize("weights, hard, easy, hard_low", [
+    ("0.5 0.5", "2.5; 5.5", "2; -2", 0.6),
+    ("0.3 0.7", "4; -4", "2; -2", 0.3),
+], ids=["off-centre", "uneven-at-4"])
+def test_iid_probes_miss_an_off_centre_mixture_at_t_0(tmp_path, capsys, weights, hard, easy, hard_low):
+    """Known failures of iid probes, pinned until per-step diagnostics can flag them.
 
-    At t = 0 the probes are N(0, 1) draws, and an even mixture at 2.5 and 5.5 puts
-    its mass where few of m = 64 probes land, so a few probes carry nearly all of the
-    softmax weight. drift-check read an RMS of 1.01-1.08 there against 0.14-0.22 on
-    the +-2 mixture (seeds 1-3). Per-step drift diagnostics (ROADMAP item 4) must
-    flag the off-centre case and not the +-2 one.
+    At t = 0 the probes are N(0, 1) draws. An even mixture at 2.5 and 5.5 puts its
+    mass where few of m = 64 probes land, so a few probes carry nearly all of the
+    softmax weight: drift-check read an RMS of 1.01-1.08 there against 0.14-0.22 on
+    the +-2 mixture (seeds 1-3). A 0.3/0.7 mixture at +-4 leaves an ESS of 8.1e-4 of
+    m at the origin: it read 0.49, 0.90 and 0.46 against 0.09, 0.26 and 0.15 at +-2.
+    Per-step drift diagnostics (ROADMAP item 4) must flag both hard cases and
+    neither easy one.
     """
     def rms_at_0(means, seed):
-        cfg = _write(tmp_path, f"[target]\nkind = mixture\nweights = 0.5 0.5\nmeans = {means}\n\n"
+        cfg = _write(tmp_path, f"[target]\nkind = mixture\nweights = {weights}\nmeans = {means}\n\n"
                      f"[run]\nseed = {seed}\ndrift = mc-grad\nmc_size = 64\n")
         assert main(["drift-check", "--config", cfg]) == 0
         cell = _json_out(capsys)["cells"][0]
@@ -786,8 +793,8 @@ def test_iid_probes_miss_an_off_centre_mixture_at_t_0(tmp_path, capsys):
         return cell["rms"]
 
     for seed in (1, 2, 3):
-        assert rms_at_0("2.5; 5.5", seed) >= 0.6
-        assert rms_at_0("2; -2", seed) <= 0.35
+        assert rms_at_0(hard, seed) >= hard_low
+        assert rms_at_0(easy, seed) <= 0.35
 
 
 def test_config_that_is_not_utf8_is_exit_2(tmp_path, capsys):
@@ -815,3 +822,33 @@ def test_out_that_cannot_be_a_directory_is_exit_2_before_any_run(tmp_path, capsy
         assert not run.called
     with open(cfg) as fh:
         assert fh.read() == GOOD
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_a_closed_pipe_keeps_the_exit_code_and_prints_nothing_on_stderr(tmp_path, capfd, command):
+    """A reader that stopped reading is no failure: the command exits as on an open stdout."""
+    cfg = _write(tmp_path, GOOD)
+    for config, code in ((cfg, 0), (os.path.join(tmp_path, "nope.ini"), 2)):
+        read, write = os.pipe()
+        os.close(read)  # so the write fails with EPIPE, not by a race
+        with open(write, "w") as stdout, contextlib.redirect_stdout(stdout):
+            assert main([command, "--config", config, "--out", os.path.join(tmp_path, "o")]) == code
+    assert capfd.readouterr().err == ""
+
+
+def test_a_report_that_cannot_be_written_is_exit_2(tmp_path, capfd):
+    cfg = _write(tmp_path, GOOD)
+    with open("/dev/full", "w") as stdout, contextlib.redirect_stdout(stdout):
+        assert main(["drift-check", "--config", cfg]) == 2
+    assert capfd.readouterr().err == ""
+
+
+def test_a_refused_allocation_is_exit_4_and_a_programming_error_propagates(tmp_path, capsys):
+    cfg = _write(tmp_path, GOOD)
+    out = os.path.join(tmp_path, "o")
+    refused = MemoryError("Unable to allocate 14.6 TiB for an array with shape (1000000000000, 2)")
+    with mock.patch.object(cli, "sfs_run", side_effect=refused):
+        assert main(["sample", "--config", cfg, "--out", out]) == 4
+    assert _json_out(capsys) == {"error": "MemoryError", "exit": 4, "message": str(refused)}
+    with mock.patch.object(cli, "sfs_run", side_effect=TypeError("a bug")), pytest.raises(TypeError):
+        main(["sample", "--config", cfg, "--out", out])
