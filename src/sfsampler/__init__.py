@@ -16,7 +16,6 @@ from .drift import (
     RegularityEstimate,
     default_drift_mode,
     drift_exact,
-    drift_mc_grad,
     drift_mc_stein,
     estimate_regularity,
     probe_points,
@@ -32,7 +31,6 @@ from .harness import ExperimentPlan, compare_samplers, mode_mass_balance, run_ex
 from .metrics import (
     RateFit,
     SlicedW2,
-    exact_w2_assignment,
     fit_rate,
     sliced_w2,
     w2_noise_floor,
@@ -84,10 +82,8 @@ __all__ = [
     "config_digest",
     "default_drift_mode",
     "drift_exact",
-    "drift_mc_grad",
     "drift_mc_stein",
     "estimate_regularity",
-    "exact_w2_assignment",
     "fit_rate",
     "from_potential",
     "gaussian",

@@ -19,13 +19,15 @@ exact: with g_j = c for every probe the sum of u_j c can differ from c times
 the sum of u_j by rounding, so the drift comes back within a few ulps of c.
 
 The estimators run tile by tile, a few dozen particles at a time, in one
-loop for any worker count; a point call is its row 0. A span of tiles owns
-one ``_Workspace`` while it runs, and the probe draw and every pass write
-into it with ``out=``, so a tile allocates nothing of its probes' size. The
-probes are built channel-major, as (p, particles * m), and target callables
-get their transposed (particles * m, p) view, not a C-contiguous array. In
-mc-grad on a mixture whose callables are its own, one softmax pass reads
-that view and writes log f and grad log f into the channel buffer.
+loop for any worker count; particle i's drift is row i of a batch, so a
+caller looping over particles reads rows of one ``batch`` call. A span of
+tiles owns one ``_Workspace`` while it runs, and the probe draw and every
+pass write into it with ``out=``, so a tile allocates nothing of its
+probes' size. The probes are built channel-major, as (p, particles * m),
+and target callables get their transposed (particles * m, p) view, not a
+C-contiguous array. In mc-grad on a mixture whose callables are its own,
+one softmax pass reads that view and writes log f and grad log f into the
+channel buffer.
 
 For Gaussian mixtures the semigroup acts in closed form: smoothing only
 rescales each component's correction term, so the drift is the
@@ -296,30 +298,19 @@ def _mc_drift_core(target, points, t, z, mode, *, step_index, particle_offset, w
     return b
 
 
-def _drift_mc(ev, x, t, step_index, mode):
-    if ev.mode != mode:
-        raise ValueError(f"a {mode} drift call needs a {mode} evaluator, got {ev.mode!r}")
+def drift_mc_stein(ev, x, t, step_index=0):
+    """Stein-form drift estimate at one point x, for t in [0, 1): row 0 of ``ev.batch``.
+
+    The point is particle 0; for particle i, read row i of ``batch`` on at
+    least i + 1 points. No command calls this: ``bench/workloads.py`` times
+    it through ``cli.drift_mc_stein``.
+    """
+    if ev.mode != "mc-stein":
+        raise ValueError(f"a mc-stein drift call needs a mc-stein evaluator, got {ev.mode!r}")
     pts, single = _coerce(x, ev.target.dim)
     if not single:
         raise ValueError("direct drift calls evaluate one point at a time")
     return ev.batch(pts, t, step_index)[0]
-
-
-def drift_mc_grad(ev, x, t, step_index=0):
-    """Gradient-form drift estimate at one point, for t in [0, 1].
-
-    The point is particle 0: row 0 of ``DriftEvaluator.batch``. For
-    particle i, read row i of ``batch`` on at least i + 1 points.
-    """
-    return _drift_mc(ev, x, t, step_index, "mc-grad")
-
-
-def drift_mc_stein(ev, x, t, step_index=0):
-    """Stein-form drift estimate at one point, for t in [0, 1).
-
-    The point is particle 0, as in ``drift_mc_grad``; only the integrand differs.
-    """
-    return _drift_mc(ev, x, t, step_index, "mc-stein")
 
 
 class ProbeGrid:

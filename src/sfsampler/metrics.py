@@ -3,9 +3,8 @@
 All W2 routines compare equal-size empirical measures. In one dimension
 the optimal coupling is the order statistics, which is exact and cheap;
 ``sliced_w2`` averages that over random directions as a scalable proxy in
-higher dimension (it lower-bounds the true W2); ``exact_w2_assignment``
-solves the matching problem outright and is guarded to small batches.
-Sweeps and comparisons score by sorting at p = 1 and sliced above (``w2_metric``).
+higher dimension (it lower-bounds the true W2). Sweeps and comparisons
+score by sorting at p = 1 and sliced above (``w2_metric``).
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from . import rng as _rng
 from .errors import check_int
 from .targets import sample_ground_truth
 
-ASSIGNMENT_MAX_POINTS = 512
-W2_METRICS = ("w2_1d", "sliced", "assignment")
+W2_METRICS = ("w2_1d", "sliced")
 SLICED_PROJECTIONS = 64
 
 
@@ -99,39 +97,6 @@ def sliced_w2(x, y, seed=0):
     return SlicedW2(value=value, se=se, per_projection=vals)
 
 
-def exact_w2_assignment(x, y):
-    """W2 from the optimal matching of two equal-size batches.
-
-    The cost matrix is squared Euclidean distance and the assignment is
-    solved exactly, so this is the true W2 between the empirical measures.
-    Guarded to n <= 512 because the solver is cubic in n. The solver and
-    the cost matrix are scipy's, imported here rather than with the
-    package: the first call pays the import of ``scipy.optimize`` and
-    ``scipy.spatial``, and no other metric or command loads them. scipy is
-    a test dependency, so without it this raises ImportError.
-    """
-    try:
-        from scipy.optimize import linear_sum_assignment
-        from scipy.spatial.distance import cdist
-    except ImportError as exc:
-        raise ImportError("exact_w2_assignment needs scipy: pip install scipy, "
-                          "or install the package with its [test] extra") from exc
-
-    x = _sample_2d(x)
-    y = _sample_2d(y)
-    if x.shape != y.shape:
-        raise ValueError(f"sample shapes must match, got {x.shape} and {y.shape}")
-    n = x.shape[0]
-    if n > ASSIGNMENT_MAX_POINTS:
-        raise ValueError(
-            f"exact assignment is limited to {ASSIGNMENT_MAX_POINTS} points, got {n}; "
-            "use sliced_w2 for larger batches"
-        )
-    cost = cdist(x, y, "sqeuclidean")
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.sqrt(cost[rows, cols].mean()))
-
-
 @dataclass(frozen=True)
 class RateFit:
     """Least-squares slope of log(y) against log(x)."""
@@ -186,8 +151,6 @@ def w2_score(metric, x, y, seed):
         return wasserstein2_1d(x, y)
     if metric == "sliced":
         return sliced_w2(x, y, seed=seed).value
-    if metric == "assignment":
-        return exact_w2_assignment(x, y)
     raise ValueError(f"metric must be one of {W2_METRICS}, got {metric!r}")
 
 

@@ -392,22 +392,35 @@ def regularize(target, eps):
         return _mixture_spec(name, GaussianMixture(weights, means), params, regularity)
 
     # General absolute target: wrap the callables in log space. The scale
-    # field must be folded in here because f_eps mixes absolute values.
-    log_keep = math.log1p(-eps)
+    # field must be folded in here because f_eps mixes absolute values. With
+    # s = log((1 - eps) f / eps), f_eps = eps (1 + e^s) and the gradient's
+    # weight (1 - eps) f / f_eps is the logistic sigma(s); both are taken
+    # through e = exp(-|s|) <= 1, so no exp overflows, s = -inf (f = 0)
+    # gives log eps and weight 0, and s = +inf gives +inf and weight 1.
+    shift = target.log_scale + math.log1p(-eps) - math.log(eps)
     log_eps = math.log(eps)
 
+    def split(pts):
+        s = target.log_f(pts) + shift
+        e = np.abs(s)
+        np.exp(np.negative(e, out=e), out=e)
+        return s, e
+
     def log_f(pts):
-        lf = target.log_f(pts) + target.log_scale
-        return np.logaddexp(log_keep + lf, log_eps)
+        s, e = split(pts)
+        out = np.maximum(s, 0.0, out=s)
+        out += log_eps
+        out += np.log1p(e, out=e)
+        return out
 
     grad_log_f = None
     if target.grad_log_f is not None:
 
         def grad_log_f(pts):
-            lf = target.log_f(pts) + target.log_scale
-            lfe = np.logaddexp(log_keep + lf, log_eps)
-            w = np.exp(log_keep + lf - lfe)
-            return _weighted(w[:, None], target.grad_log_f(pts), lf[:, None])
+            s, e = split(pts)
+            w = np.where(s > 0.0, 1.0, e)
+            w /= e + 1.0
+            return _weighted(w[:, None], target.grad_log_f(pts), s[:, None])
 
     sampler = None
     if target.sampler is not None:

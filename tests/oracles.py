@@ -1,10 +1,10 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately slow and simple: finite differences,
-adaptive quadrature, permutation search, dense grid scans, and plain
-Euler-Maruyama loops. None of it shares code with the package, save that
-the loops take its random streams and drift as given and check only the
-integration around them.
+adaptive quadrature, permutation search, an exact matching, dense grid
+scans, and plain Euler-Maruyama loops. None of it shares code with the
+package, save that the loops take its random streams and drift as given
+and check only the integration around them.
 """
 
 import itertools
@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import linear_sum_assignment, minimize_scalar
+from scipy.spatial.distance import cdist
 
 from sfsampler import rng
 
@@ -91,6 +92,19 @@ def brute_force_w2(x, y):
         d = x - y[list(perm)]
         best = min(best, float(np.sum(d * d)))
     return math.sqrt(best / n)
+
+
+def exact_w2_assignment(x, y):
+    """Exact W2 between two equal-size batches from scipy's optimal matching.
+
+    The cost is squared Euclidean distance, so this is the true W2 between
+    the empirical measures; the solver is cubic in n.
+    """
+    x = np.asarray(x, dtype=float).reshape(len(x), -1)  # (n,) is n 1-D points
+    y = np.asarray(y, dtype=float).reshape(len(y), -1)
+    cost = cdist(x, y, "sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.sqrt(cost[rows, cols].mean()))
 
 
 def mixture_f_derivatives(weights, means):

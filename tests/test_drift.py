@@ -24,7 +24,6 @@ from sfsampler import (
     UnsupportedTargetError,
     default_drift_mode,
     drift_exact,
-    drift_mc_grad,
     drift_mc_stein,
     estimate_regularity,
     from_potential,
@@ -98,7 +97,7 @@ def test_gradient_form_is_exactly_constant_for_gaussian():
         for t in (0.0, 0.37, 0.99, 1.0):
             for seed in (0, 12345):
                 ev = DriftEvaluator(target=g, mode="mc-grad", m=m, seed=seed)
-                b = drift_mc_grad(ev, np.array([0.3]), t)
+                b = ev.batch(np.array([0.3]), t, 0)[0]
                 assert float(b[0]) == 2.0
 
 
@@ -122,7 +121,7 @@ def test_gradient_form_is_exact_past_one_pairwise_block(mean, m):
 def test_gradient_form_is_exactly_zero_on_flat_target():
     std = standard_gaussian(2)
     ev = DriftEvaluator(target=std, mode="mc-grad", m=16, seed=5)
-    b = drift_mc_grad(ev, np.array([1.0, -2.0]), 0.5)
+    b = ev.batch(np.array([1.0, -2.0]), 0.5, 0)[0]
     assert np.all(b == 0.0)
 
 
@@ -149,8 +148,8 @@ def test_mc_estimates_converge_to_exact():
     sv = DriftEvaluator(target=MIX, mode="mc-stein", m=200_000, seed=31)
     for x, t in ((0.0, 0.0), (1.2, 0.5)):
         exact = float(drift_exact(MIX, np.array([x]), t)[0])
-        assert float(drift_mc_grad(ev, np.array([x]), t)[0]) == pytest.approx(exact, abs=0.2)
-        assert float(drift_mc_stein(sv, np.array([x]), t)[0]) == pytest.approx(exact, abs=0.2)
+        assert float(ev.batch(np.array([x]), t, 0)[0, 0]) == pytest.approx(exact, abs=0.2)
+        assert float(sv.batch(np.array([x]), t, 0)[0, 0]) == pytest.approx(exact, abs=0.2)
 
 
 @pytest.mark.parametrize("mode", ["mc-grad", "mc-stein"])
@@ -159,11 +158,7 @@ def test_scale_shift_leaves_drift_bit_identical(mode):
     for log_c in (math.log(1e-6), 0.0, math.log(1e6)):
         target = gaussian_potential([1.0], log_scale=log_c)
         ev = DriftEvaluator(target=target, mode=mode, m=32, seed=4)
-        rows = [
-            drift_mc_grad(ev, np.array([x]), t) if mode == "mc-grad"
-            else drift_mc_stein(ev, np.array([x]), t)
-            for x, t in ((-2.0, 0.0), (0.3, 0.4), (4.0, 0.99))
-        ]
+        rows = [ev.batch(np.array([x]), t, 0)[0] for x, t in ((-2.0, 0.0), (0.3, 0.4), (4.0, 0.99))]
         outs.append(np.vstack(rows))
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(outs[1], outs[2])
@@ -227,9 +222,7 @@ def test_point_call_rejects_an_evaluator_of_another_mode():
     with pytest.raises(ValueError):
         drift_mc_stein(grad, np.array([0.0]), 0.5)
     with pytest.raises(ValueError):
-        drift_mc_grad(DriftEvaluator(target=MIX, mode="mc-stein", m=8), np.array([0.0]), 0.5)
-    with pytest.raises(ValueError):
-        drift_mc_grad(DriftEvaluator(target=MIX, mode="exact"), np.array([0.0]), 0.5)
+        drift_mc_stein(DriftEvaluator(target=MIX, mode="exact"), np.array([0.0]), 0.5)
 
 
 def _own_row_drift(ev, x, t, k, i):
@@ -302,15 +295,14 @@ def test_batch_rows_equal_point_calls_bit_for_bit(case):
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("mode", ["mc-grad", "mc-stein"])
 def test_point_calls_equal_the_core_on_their_own_probe_row(mode, workers):
-    # A point call is particle 0; particle i is row i of a batch of i + 1 rows.
+    # One point is particle 0; particle i is row i of a batch of i + 1 rows.
     # The reference row comes from rng.normal_row, independently of batch's tile loop.
     target = gaussian_mixture_target([0.3, 0.7], [[1.0, -2.0], [-1.5, 0.5]])
     m, p, k, t = 12, 2, 3, 0.3
     ev = DriftEvaluator(target, mode, m=m, seed=21, workers=workers)
-    point = drift_mc_grad if mode == "mc-grad" else drift_mc_stein
     x = np.array([0.4, -1.1])
     with mock.patch.object(_drift, "_CHUNK_VALUES", 2 * m * (p + 1)):  # two particles a tile
-        assert np.array_equal(point(ev, x, t, k), _own_row_drift(ev, x, t, k, 0))
+        assert np.array_equal(ev.batch(x, t, k)[0], _own_row_drift(ev, x, t, k, 0))
         for i in (0, 1, 2, 5, 17):
             got = ev.batch(np.tile(x, (i + 1, 1)), t, k)[i]
             assert np.array_equal(got, _own_row_drift(ev, x, t, k, i)), i
@@ -374,7 +366,7 @@ def test_wrong_shaped_target_output_is_unsupported(which, bad):
     with pytest.raises(UnsupportedTargetError, match=which):
         ev.batch(np.zeros((3, 1)), 0.5, 0)
     with pytest.raises(UnsupportedTargetError, match=which):
-        drift_mc_grad(ev, np.array([0.0]), 0.5)
+        ev.batch(np.array([0.0]), 0.5, 0)
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc-grad", "mc-stein"])
@@ -561,7 +553,7 @@ def test_all_probes_outside_support_is_a_reported_singularity():
     tiny = quartic_bump(0.05)
     ev = DriftEvaluator(target=tiny, mode="mc-grad", m=16, seed=5)
     with pytest.raises(DriftSingularityError) as err:
-        drift_mc_grad(ev, np.array([3.0]), 0.0, step_index=0)
+        ev.batch(np.array([3.0]), 0.0, 0)
     assert err.value.step_index == 0
     assert err.value.particle_index == 0
     assert err.value.t == 0.0

@@ -13,7 +13,6 @@ from sfsampler import (
     TargetRegularity,
     TargetSpec,
     compare_samplers,
-    drift_mc_grad,
     fit_rate,
     from_potential,
     gaussian_mixture_target,
@@ -56,10 +55,8 @@ BAD = {
     "compare_samplers burn_in": (lambda v: compare_samplers(MIX, CFG, 0.1, v), 1.5),
     "w2_noise_floor pairs": (lambda v: w2_noise_floor(MIX, 16, 0, pairs=v), 1.5),
     "DriftEvaluator workers": (lambda v: DriftEvaluator(MIX, "mc-grad", m=4, workers=v), 0),
-    "drift_mc_grad step_index": (
-        lambda v: drift_mc_grad(DriftEvaluator(MIX, "mc-grad", m=4), 0.5, 0.5, step_index=v),
-        1.5,
-    ),
+    "DriftEvaluator.batch step_index": (
+        lambda v: DriftEvaluator(MIX, "mc-grad", m=4).batch(0.5, 0.5, v), 1.5),
     "normal_row row_index": (lambda v: rng.normal_row(0, rng.ROLE_DRIFT, 0, v), 1.5),
     "substream step": (lambda v: rng.substream(0, rng.ROLE_DRIFT, v), 2.0),
     # Each row below is a check that no other test reaches.

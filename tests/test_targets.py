@@ -14,6 +14,7 @@ from scipy.special import logsumexp, softmax
 from oracles import fd_grad
 from sfsampler import (
     DriftEvaluator,
+    TargetSpec,
     UnknownTargetError,
     UnsupportedTargetError,
     build_target,
@@ -212,6 +213,39 @@ def test_regularized_gradient_matches_finite_differences():
     x = np.random.default_rng(3).uniform(-4.0, 4.0, size=(100, 1))
     fd = fd_grad(reg.log_f, x)
     assert np.allclose(reg.grad_log_f(x), fd, rtol=1e-6, atol=1e-7)
+
+
+FLOOR_S = np.array([-np.inf, -800.0, -40.0, -1.0, 0.0, 1.0, 40.0, 800.0, np.inf])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", [1e-6, 0.1, 0.9])
+def test_floored_general_target_matches_the_logaddexp_forms(eps):
+    # s = log((1 - eps) f / eps) runs over FLOOR_S; the three f = 0 rows get
+    # a NaN, a +inf and a -inf gradient, which must weigh exactly 0, silently.
+    log_scale, log_keep, log_eps = 3.5, math.log1p(-eps), math.log(eps)
+    s = np.concatenate([FLOOR_S, np.full(3, -np.inf)])
+    lf = s - (log_scale + log_keep - log_eps)
+    grad = np.ones((s.size, 1))
+    grad[-3:, 0] = (np.nan, np.inf, -np.inf)
+    base = TargetSpec("probe", 1, lambda x: lf.copy(), lambda x: grad.copy(), log_scale=log_scale)
+    reg = regularize(base, eps)
+    pts = np.zeros((s.size, 1))
+    got_lf, got_w = reg.log_f(pts), reg.grad_log_f(pts)[:, 0]
+
+    with np.errstate(invalid="ignore"):  # s = +inf: inf - inf in the old weight
+        want_lf = np.logaddexp(log_keep + (lf + log_scale), log_eps)
+        want_w = np.exp(log_keep + (lf + log_scale) - want_lf)
+    top = s == np.inf
+    assert got_lf[top] == want_lf[top] == np.inf and got_w[top] == 1.0  # the old weight is NaN
+    np.testing.assert_array_max_ulp(got_lf[~top], want_lf[~top], maxulp=2)
+    # The old weight is exp of a difference of terms up to |s| + |log eps| in size,
+    # so it carries their rounding: about that many ulp of the weight.
+    real = np.isfinite(s)
+    ulps = np.abs(got_w[real] - want_w[real]) / np.spacing(want_w[real])
+    assert (ulps <= 2.0 + np.abs(s[real]) - log_eps).all(), ulps
+    assert np.array_equal(got_lf[np.isneginf(s)], np.full(4, log_eps))
+    assert np.array_equal(got_w[np.isneginf(s)], np.zeros(4))
 
 
 def test_regularize_rejects_bad_inputs():
